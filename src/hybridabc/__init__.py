@@ -24,19 +24,14 @@ from .lgdbn import (
     flatten,
     joint_distribution,
     summarize,
-    unflatten,
 )
 from .model import (
     Dataset,
     ErythroblastModel,
-    ParameterVector,
     Prior,
     SimulationError,
-    Trajectory,
     erythroblast_prior,
     generate_dataset,
-    observe,
-    simulate_trajectory,
 )
 from .smc import (
     PerturbationKernel,
@@ -58,7 +53,6 @@ __all__ = [
     "Dataset",
     "DistanceSpec",
     "ErythroblastModel",
-    "ParameterVector",
     "PerturbationKernel",
     "Population",
     "PosteriorApproximation",
@@ -68,7 +62,6 @@ __all__ = [
     "SmcSettings",
     "SummaryLayout",
     "SummaryStatistics",
-    "Trajectory",
     "adapt_kernel",
     "adapt_tolerance",
     "auxiliary_distance",
@@ -82,7 +75,6 @@ __all__ = [
     "joint_distribution",
     "ks_statistic",
     "naive_distance",
-    "observe",
     "perturb",
     "resample_index",
     "run_abc_smc",
@@ -91,7 +83,5 @@ __all__ = [
     "run_replication",
     "sample_posterior_predictive",
     "sample_true_predictive",
-    "simulate_trajectory",
     "summarize",
-    "unflatten",
 ]

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .model import Dataset, ErythroblastModel, Prior, generate_dataset
 from .rng import (
     STREAM_OBSERVED,
@@ -284,7 +283,6 @@ def run_cell(
     failures are recorded and skipped unless they exceed a fifth of the
     requested count, in which case the cell fails.
     """
-    kernels.warmup()
     theta_true = np.concatenate([np.asarray(kinetics, dtype=float), [noise, noise]])
     result = CellResult(noise=noise, batches=batches)
     for r in range(macro_replications):

@@ -172,7 +172,11 @@ def write_history(path, records, config_echo: dict) -> None:
 
 
 def write_replications(path, cell, config_echo: dict) -> None:
-    """Per-replication records of one grid cell, both methods."""
+    """Per-replication records of one grid cell, both methods.
+
+    Replications that failed have no rows; the ``failures`` header holds
+    them as a JSON list of ``[replication, repr of the exception]`` pairs.
+    """
     ratio_by_rep = {}
     aux = {r.replication: r for r in cell.method_records("auxiliary")}
     naive = {r.replication: r for r in cell.method_records("naive")}
@@ -213,6 +217,7 @@ def write_replications(path, cell, config_echo: dict) -> None:
             "simulator_calls",
         ],
         rows,
+        meta={"failures": json.dumps([[r, reason] for r, reason in cell.failures])},
     )
 
 

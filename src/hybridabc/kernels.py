@@ -1,36 +1,18 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, vectorized in numpy.
 
 The simulator and the one-dimensional auxiliary-summary fit sit inside the
-ABC-SMC particle loop and dominate runtime, so both ship in two versions: a
-numba ``@njit`` build and a vectorized pure-numpy fallback. Set the
-environment variable ``HYBRIDABC_NUMBA=0`` before import to force the numpy
-path (useful for debugging and for the benchmark in ``benchmarks/``). The two
-backends agree to floating-point round-off; neither is semantically special.
+ABC-SMC particle loop and dominate runtime. Each has one implementation,
+vectorized over the batch of paths. Callers look both up as attributes of
+this module at call time (``kernels.simulate_paths_raw``), so a wrapper
+installed on the module sees every call.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("HYBRIDABC_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "no", "off")
-
-
-_HAVE_NUMBA = False
-if _env_wants_numba():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-#: Active backend, "numba" or "numpy".
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+#: The only backend. Benchmark output reports it next to its timings.
+BACKEND = "numpy"
 
 
 def _logistic(u: np.ndarray) -> np.ndarray:
@@ -40,12 +22,14 @@ def _logistic(u: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-u))
 
 
-def _simulate_paths_numpy(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
+def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
     """Vectorized growth-inhibition recurrence over a batch of paths.
 
-    Parameters are per-path arrays of shape (n,); ``eps`` holds the
-    pre-scaled Gaussian shocks with shape (n, steps, 2) where the last axis
-    is (density shock, inhibitor shock). Returns states (n, steps + 1, 2).
+    All four kinetic parameters are (n,) arrays so that every path may carry
+    its own parameter draw; broadcast shared values with ``np.full`` first.
+    ``eps`` holds the pre-scaled Gaussian shocks with shape (n, steps, 2)
+    where the last axis is (density shock, inhibitor shock). Returns states
+    (n, steps + 1, 2).
     """
     n, n_steps, _ = eps.shape
     # Step-major buffers keep every per-step read and write contiguous.
@@ -68,28 +52,7 @@ def _simulate_paths_numpy(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-def _simulate_paths_loop(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out):
-    n, n_steps, _ = eps.shape
-    for i in range(n):
-        rho = init_rho
-        inh = init_inh
-        out[i, 0, 0] = rho
-        out[i, 0, 1] = inh
-        for t in range(n_steps):
-            u = k_s[i] * (k_c[i] - inh)
-            if u >= 0.0:
-                f = 1.0 / (1.0 + np.exp(-u))
-            else:
-                eu = np.exp(u)
-                f = eu / (1.0 + eu)
-            rho_next = rho + dt * r_g[i] * rho * f + eps[i, t, 0]
-            inh = inh + dt * ((rho_next - rho) / dt - r_d[i] * inh) + eps[i, t, 1]
-            rho = rho_next
-            out[i, t + 1, 0] = rho
-            out[i, t + 1, 1] = inh
-
-
-def _aux_summary_1d_numpy(x):
+def aux_summary_1d(x: np.ndarray) -> np.ndarray:
     """Per-time mean, lag-one regression weight, and marginal std of paths.
 
     ``x`` has shape (n, T). The result concatenates the T means, the T - 1
@@ -109,92 +72,12 @@ def _aux_summary_1d_numpy(x):
     return np.concatenate([mu, psi, sd])
 
 
-def _aux_summary_1d_loop(x, eta):
-    n, T = x.shape
-    for t in range(T):
-        s = 0.0
-        for i in range(n):
-            s += x[i, t]
-        eta[t] = s / n
-    for t in range(T - 1):
-        mu_a = eta[t]
-        mu_b = eta[t + 1]
-        num = 0.0
-        den = 0.0
-        for i in range(n):
-            da = x[i, t] - mu_a
-            num += da * (x[i, t + 1] - mu_b)
-            den += da * da
-        if den > 0.0:
-            eta[T + t] = num / den
-        else:
-            eta[T + t] = 0.0
-    for t in range(T):
-        mu_t = eta[t]
-        sq = 0.0
-        for i in range(n):
-            d = x[i, t] - mu_t
-            sq += d * d
-        eta[2 * T - 1 + t] = np.sqrt(sq / n)
-
-
-if _HAVE_NUMBA:
-    _simulate_paths_jit = njit(cache=True)(_simulate_paths_loop)
-    _aux_summary_1d_jit = njit(cache=True)(_aux_summary_1d_loop)
-else:
-    _simulate_paths_jit = None
-    _aux_summary_1d_jit = None
-
-
-def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
-    """Run the batch recurrence on the active backend.
-
-    All four kinetic parameters are (n,) arrays so that every path may carry
-    its own parameter draw; broadcast shared values with ``np.full`` first.
-    """
-    if _simulate_paths_jit is not None:
-        n, n_steps, _ = eps.shape
-        out = np.empty((n, n_steps + 1, 2))
-        _simulate_paths_jit(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out)
-        return out
-    return _simulate_paths_numpy(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps)
-
-
-def aux_summary_1d(x: np.ndarray) -> np.ndarray:
-    """Summary vector for a batch of scalar observed paths, active backend."""
-    if _aux_summary_1d_jit is not None:
-        n, T = x.shape
-        eta = np.empty(3 * T - 1)
-        _aux_summary_1d_jit(np.ascontiguousarray(x), eta)
-        return eta
-    return _aux_summary_1d_numpy(x)
-
-
-def simulate_paths_numba(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
-    """Numba build regardless of the active backend; None-safe only if compiled."""
-    if _simulate_paths_jit is None:
-        raise RuntimeError("numba backend is not available in this process")
-    n, n_steps, _ = eps.shape
-    out = np.empty((n, n_steps + 1, 2))
-    _simulate_paths_jit(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out)
-    return out
-
-
-def aux_summary_1d_numba(x):
-    if _aux_summary_1d_jit is None:
-        raise RuntimeError("numba backend is not available in this process")
-    n, T = x.shape
-    eta = np.empty(3 * T - 1)
-    _aux_summary_1d_jit(np.ascontiguousarray(x), eta)
-    return eta
-
-
-simulate_paths_numpy = _simulate_paths_numpy
-aux_summary_1d_numpy = _aux_summary_1d_numpy
-
-
 def warmup() -> None:
-    """Trigger JIT compilation so timed sections never pay the compile cost."""
+    """Run both kernels once on tiny inputs.
+
+    Numpy has nothing to compile, so this does no work that later calls
+    depend on. It stays because the pipeline benchmark's set-up calls it.
+    """
     eps = np.zeros((2, 3, 2))
     ones = np.ones(2)
     simulate_paths_raw(ones * 0.1, ones, ones, ones * 0.01, 1.0, 1.0, 0.0, eps)

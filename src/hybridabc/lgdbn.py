@@ -4,7 +4,9 @@ The auxiliary model treats each state transition as a linear regression on
 the previous (centered) state and action with independent Gaussian residuals
 whose variance may change over time. Its maximum-likelihood fit is cheap and
 closed-form, and the flattened fit doubles as the summary-statistic vector
-used by the auxiliary distance. ``joint_distribution`` expands a fit into
+used by the auxiliary distance. ``fit_mle`` fits one observed state without
+actions, the only data the package produces; fits with action blocks are
+built directly. ``joint_distribution`` expands a fit into
 the mean and covariance of the implied joint normal over a whole trajectory,
 which is useful for validating the fit against sampled data.
 """
@@ -146,43 +148,26 @@ def flatten(fit: AuxiliaryFit) -> SummaryStatistics:
     return SummaryStatistics(values=values, layout=fit.layout)
 
 
-def unflatten(summary: SummaryStatistics) -> AuxiliaryFit:
-    """Inverse of ``flatten``."""
-    H, d_x, d_a = summary.layout.horizon, summary.layout.d_x, summary.layout.d_a
-    parts = summary.layout.slices()
-    v = summary.values
-    return AuxiliaryFit(
-        mu_x=v[parts["mu_x"]].reshape(H + 1, d_x),
-        mu_a=v[parts["mu_a"]].reshape(H, d_a),
-        psi_x=v[parts["psi_x"]].reshape(H, d_x, d_x),
-        psi_a=v[parts["psi_a"]].reshape(H, d_x, d_a),
-        sigma=v[parts["sigma"]].reshape(H, d_a),
-        v_x=v[parts["v_x"]].reshape(H + 1, d_x),
-    )
-
-
 def fit_mle(data: Dataset) -> AuxiliaryFit:
     """Closed-form maximum-likelihood fit of the auxiliary model.
 
     Means are sample means per time step. Stds are square roots of the
-    per-time second moments of the centered values (divisor m). Regression
-    weights solve an ordinary least-squares problem per transition on the
-    centered data; with diagonal residual covariance the generalized and
-    ordinary solutions coincide. Rank-deficient steps take the minimum-norm
-    solution.
+    per-time second moments of the centered values (divisor m). Each
+    regression weight is the ordinary least-squares slope of centered step
+    t + 1 on centered step t, and zero where step t has no spread.
+
+    Only one observed state is supported, which is what every dataset the
+    package reads or generates holds.
     """
     if len(data) < 2:
         raise ValueError("auxiliary fit needs at least 2 trajectories")
-    if data.state_dim == 1 and data.action_dim == 0:
-        return _fit_1d(data)
-    return _fit_general(data.states, data.actions)
-
-
-def _fit_1d(data: Dataset) -> AuxiliaryFit:
-    # Hot path during inference; runs on the compiled kernel.
+    if data.state_dim != 1:
+        raise ValueError(
+            f"auxiliary fit needs one observed state, got {data.state_dim}"
+        )
     T = data.horizon + 1
-    eta = kernels.aux_summary_1d(data.states[:, :, 0])
     H = T - 1
+    eta = kernels.aux_summary_1d(data.states[:, :, 0])
     return AuxiliaryFit(
         mu_x=eta[:T].reshape(T, 1),
         mu_a=np.zeros((H, 0)),
@@ -190,28 +175,6 @@ def _fit_1d(data: Dataset) -> AuxiliaryFit:
         psi_a=np.zeros((H, 1, 0)),
         sigma=np.zeros((H, 0)),
         v_x=eta[T + H :].reshape(T, 1),
-    )
-
-
-def _fit_general(x: np.ndarray, a: np.ndarray) -> AuxiliaryFit:
-    m, T, d_x = x.shape
-    d_a = a.shape[2]
-    H = T - 1
-    mu_x = x.mean(axis=0)
-    mu_a = a.mean(axis=0)
-    xc = x - mu_x
-    ac = a - mu_a
-    v_x = np.sqrt((xc**2).mean(axis=0))
-    sigma = np.sqrt((ac**2).mean(axis=0))
-    psi_x = np.empty((H, d_x, d_x))
-    psi_a = np.empty((H, d_x, d_a))
-    for t in range(H):
-        design = np.hstack([xc[:, t, :], ac[:, t, :]])
-        coef, *_ = np.linalg.lstsq(design, xc[:, t + 1, :], rcond=None)
-        psi_x[t] = coef[:d_x].T
-        psi_a[t] = coef[d_x:].T
-    return AuxiliaryFit(
-        mu_x=mu_x, mu_a=mu_a, psi_x=psi_x, psi_a=psi_a, sigma=sigma, v_x=v_x
     )
 
 

@@ -1,4 +1,4 @@
-"""Growth-inhibition process model, priors, and trajectory containers.
+"""Growth-inhibition process model, priors, and the observed-data container.
 
 The built-in process is an erythroblast culture: cell density grows
 logistically until an accumulated inhibitory signal switches growth off, and
@@ -10,7 +10,7 @@ inference engine stays model-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,40 +34,6 @@ class SimulationError(RuntimeError):
         super().__init__(
             f"non-finite state at step {self.step} of path {self.path_index}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class ParameterVector:
-    """Ordered parameter values with names attached."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(self.names),):
-            raise ValueError(
-                f"expected {len(self.names)} parameter values, got shape {values.shape}"
-            )
-        if not np.isfinite(values).all():
-            raise ValueError("parameter values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_dict(cls, names, mapping) -> "ParameterVector":
-        missing = [n for n in names if n not in mapping]
-        if missing:
-            raise ValueError(f"missing parameter values for {missing}")
-        extra = [n for n in mapping if n not in names]
-        if extra:
-            raise ValueError(f"unknown parameter names {extra}")
-        return cls(tuple(names), np.array([mapping[n] for n in names], dtype=float))
-
-    def as_dict(self) -> dict[str, float]:
-        return {n: float(v) for n, v in zip(self.names, self.values)}
-
-    def __getitem__(self, name: str) -> float:
-        return float(self.values[self.names.index(name)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,9 +66,6 @@ class Prior:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lows, self.highs)
 
-    def sample_n(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lows, self.highs, size=(n, self.dim))
-
     def contains(self, theta: np.ndarray) -> bool:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
@@ -125,80 +88,23 @@ def erythroblast_prior() -> Prior:
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One realized path: states on a fixed time grid plus optional actions.
-
-    ``states`` has shape (H + 1, d); the leading ``observed_dim`` columns are
-    visible to inference, the rest are latent. ``actions`` has shape (H, d_a)
-    and may be zero-width.
-    """
-
-    states: np.ndarray
-    actions: np.ndarray
-    dt: float
-    observed_dim: int
-
-    def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
-        actions = np.asarray(self.actions, dtype=float)
-        if states.ndim != 2 or states.shape[0] < 2:
-            raise ValueError("states must be (H + 1, d) with H >= 1")
-        if actions.ndim != 2 or actions.shape[0] != states.shape[0] - 1:
-            raise ValueError("actions must have one row per transition")
-        if not 0 <= self.observed_dim <= states.shape[1]:
-            raise ValueError("observed_dim out of range")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def is_fully_observed(self) -> bool:
-        return self.observed_dim == self.states.shape[1]
-
-
-def observe(trajectory: Trajectory) -> Trajectory:
-    """Project a trajectory onto its observable state columns. Idempotent."""
-    if trajectory.is_fully_observed:
-        return trajectory
-    return Trajectory(
-        states=trajectory.states[:, : trajectory.observed_dim],
-        actions=trajectory.actions,
-        dt=trajectory.dt,
-        observed_dim=trajectory.observed_dim,
-    )
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset:
     """Homogeneous batch of observed trajectories, stored stacked.
 
     ``states`` has shape (m, H + 1, d_x) and contains observable columns
-    only; ``actions`` has shape (m, H, d_a).
+    only.
     """
 
     states: np.ndarray
-    actions: np.ndarray = field(default=None)  # type: ignore[assignment]
     dt: float = 1.0
 
     def __post_init__(self):
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 3 or states.shape[0] < 1 or states.shape[1] < 2:
             raise ValueError("states must be (m, H + 1, d_x) with m >= 1, H >= 1")
-        actions = self.actions
-        if actions is None:
-            actions = np.zeros((states.shape[0], states.shape[1] - 1, 0))
-        actions = np.asarray(actions, dtype=float)
-        if actions.shape[:2] != (states.shape[0], states.shape[1] - 1):
-            raise ValueError("actions must be (m, H, d_a)")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "actions", actions)
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -210,35 +116,6 @@ class Dataset:
     @property
     def state_dim(self) -> int:
         return self.states.shape[2]
-
-    @property
-    def action_dim(self) -> int:
-        return self.actions.shape[2]
-
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(
-            states=self.states[i],
-            actions=self.actions[i],
-            dt=self.dt,
-            observed_dim=self.state_dim,
-        )
-
-    @classmethod
-    def from_trajectories(cls, trajectories) -> "Dataset":
-        trajectories = list(trajectories)
-        if not trajectories:
-            raise ValueError("need at least one trajectory")
-        first = trajectories[0]
-        for traj in trajectories:
-            if traj.states.shape != first.states.shape or traj.dt != first.dt:
-                raise ValueError("trajectories must share shape and dt")
-            if not traj.is_fully_observed:
-                raise ValueError("project trajectories with observe() first")
-        return cls(
-            states=np.stack([t.states for t in trajectories]),
-            actions=np.stack([t.actions for t in trajectories]),
-            dt=first.dt,
-        )
 
 
 @dataclass(frozen=True)
@@ -325,20 +202,6 @@ def _raise_on_nonfinite(states: np.ndarray) -> None:
     bad = np.argwhere(~finite)
     j = int(bad[:, 1].argmin())
     raise SimulationError(path_index=bad[j, 0], step=bad[j, 1])
-
-
-def simulate_trajectory(theta, init, horizon: int, dt: float, rng) -> Trajectory:
-    """One full trajectory (density and latent inhibitor) from ``init``."""
-    model = ErythroblastModel(
-        init_rho=float(init[0]), init_inh=float(init[1]), dt=dt, horizon=horizon
-    )
-    states = model.simulate_paths(theta, 1, rng)[0]
-    return Trajectory(
-        states=states,
-        actions=np.zeros((horizon, 0)),
-        dt=dt,
-        observed_dim=model.observed_dim,
-    )
 
 
 def generate_dataset(theta, init, m: int, L: int, horizon: int, dt: float, rng) -> Dataset:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .distance import (
     AUXILIARY,
     NAIVE_VARIANTS,
@@ -551,6 +550,5 @@ def run_inference(
     naive_variant: str = "trajectory-energy",
 ) -> PosteriorApproximation:
     """Infer the posterior for one observed dataset with one method."""
-    kernels.warmup()
     objective = build_objective(model, observed, method, sim_replicates, naive_variant)
     return run_abc_smc(prior, objective, settings, seed, workers=workers, progress=progress)

@@ -5,15 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hybridabc import kernels
-
 _ACCEPTANCE: dict[str, str] = {}
-
-
-@pytest.fixture(scope="session", autouse=True)
-def compiled_kernels():
-    """Compile (or load cached) kernels once so timed tests exclude it."""
-    kernels.warmup()
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -1,6 +1,10 @@
+import importlib
+import importlib.metadata
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,28 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
+
+
+def _canonical(dist: str) -> str:
+    return re.sub(r"[-_.]+", "-", dist).lower()
+
+
+def test_declared_dependencies_are_installed_and_import():
+    # An offline install needs every declared dependency to be present.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    modules: dict[str, list[str]] = {}
+    for module, dists in importlib.metadata.packages_distributions().items():
+        for dist in dists:
+            modules.setdefault(_canonical(dist), []).append(module)
+    assert requirements
+    for requirement in requirements:
+        name = _canonical(re.split(r"[\s<>=!~;\[]", requirement, maxsplit=1)[0])
+        assert modules.get(name), f"{requirement!r} is not installed"
+        for module in modules[name]:
+            if not module.startswith("_"):
+                importlib.import_module(module)
 
 
 def test_naive_variant_and_batch_size_choices():

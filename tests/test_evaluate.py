@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import hybridabc.evaluate as evaluate
+from hybridabc import io
 from helpers import brute_force_ks, reference_trajectory
 from hybridabc.evaluate import (
     CellResult,
@@ -246,6 +249,37 @@ def test_run_cell_isolates_replication_failures(monkeypatch):
     assert len(result.failures) == 1
     assert result.failures[0][0] == 1
     assert len(result.ratios) == 5
+
+
+def test_replication_failures_reach_the_replications_file(monkeypatch, tmp_path):
+    real = evaluate.run_replication
+
+    def flaky(*args, **kwargs):
+        rep_seed = kwargs.get("rep_seed", args[8] if len(args) > 8 else None)
+        if rep_seed == 702:
+            raise RuntimeError("boom")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_replication", flaky)
+    with pytest.warns(UserWarning, match="skipped replications"):
+        cell = run_cell(
+            model=ErythroblastModel(),
+            prior=erythroblast_prior(),
+            kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
+            noise=0.2,
+            batches=3,
+            settings=QUICK,
+            sim_replicates=2,
+            macro_replications=5,
+            target_t=11,
+            n_predictive=20,
+            seed=700,
+        )
+    path = tmp_path / "replications.csv"
+    io.write_replications(path, cell, {"seed": 700})
+    meta, columns, rows = io.read_table(path)
+    assert json.loads(meta["failures"]) == [[2, "RuntimeError('boom')"]]
+    assert sorted({int(row[columns.index("replication")]) for row in rows}) == [0, 1, 3, 4]
 
 
 def test_run_cell_fails_when_too_many_replications_fail(monkeypatch):

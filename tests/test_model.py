@@ -6,18 +6,13 @@ import pytest
 from helpers import reference_trajectory
 from hybridabc import rng as rng_mod
 from hybridabc.model import (
-    PARAM_NAMES,
     TRUE_KINETICS,
     Dataset,
     ErythroblastModel,
-    ParameterVector,
     Prior,
     SimulationError,
-    Trajectory,
     erythroblast_prior,
     generate_dataset,
-    observe,
-    simulate_trajectory,
 )
 
 THETA_REF = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
@@ -112,14 +107,13 @@ def test_default_prior_density_is_box_volume_reciprocal():
 
 def test_prior_samples_fill_the_box():
     prior = erythroblast_prior()
-    draws = prior.sample_n(np.random.default_rng(4), 20000)
+    rng = np.random.default_rng(4)
+    draws = np.array([prior.sample(rng) for _ in range(20000)])
     assert draws.shape == (20000, 6)
     assert (draws >= prior.lows).all() and (draws <= prior.highs).all()
     mid = (prior.lows + prior.highs) / 2.0
     se = (prior.highs - prior.lows) / math.sqrt(12.0) / math.sqrt(20000)
     assert (np.abs(draws.mean(axis=0) - mid) < 5 * se).all()
-    one = prior.sample(np.random.default_rng(5))
-    assert prior.contains(one)
 
 
 def test_prior_validation():
@@ -132,44 +126,8 @@ def test_prior_validation():
         prior.contains(np.ones(3))
 
 
-def test_parameter_vector_round_trip():
-    values = {"r_g": 0.1, "k_s": 2.0, "k_c": 3.0, "r_d": 0.01, "v_rho": 0.1, "v_I": 0.2}
-    vec = ParameterVector.from_dict(PARAM_NAMES, values)
-    assert vec.as_dict() == values
-    assert vec["k_c"] == 3.0
-    with pytest.raises(ValueError):
-        ParameterVector.from_dict(PARAM_NAMES, {"r_g": 0.1})
-    with pytest.raises(ValueError):
-        ParameterVector.from_dict(PARAM_NAMES, dict(values, extra=1.0))
-    with pytest.raises(ValueError):
-        ParameterVector(PARAM_NAMES, np.array([np.inf] * 6))
-
-
 def test_true_kinetics_values():
     assert TRUE_KINETICS == {"r_g": 0.057, "k_s": 3.4, "k_c": 2.6, "r_d": 0.005}
-
-
-def test_observe_projects_and_is_idempotent():
-    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
-    traj = simulate_trajectory(theta, (3.0, 0.0), 10, 3.0, np.random.default_rng(8))
-    assert traj.states.shape == (11, 2)
-    assert not traj.is_fully_observed
-    seen = observe(traj)
-    assert seen.states.shape == (11, 1)
-    assert seen.is_fully_observed
-    np.testing.assert_array_equal(seen.states[:, 0], traj.states[:, 0])
-    assert observe(seen) is seen
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((1, 2)), np.zeros((0, 0)), dt=1.0, observed_dim=1)
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((1, 0)), dt=1.0, observed_dim=1)
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((2, 0)), dt=1.0, observed_dim=3)
-    with pytest.raises(ValueError):
-        Trajectory(np.zeros((3, 2)), np.zeros((2, 0)), dt=0.0, observed_dim=1)
 
 
 def test_dataset_shape_and_round_trip():
@@ -178,24 +136,17 @@ def test_dataset_shape_and_round_trip():
     assert len(data) == 6
     assert data.horizon == 10
     assert data.state_dim == 1
-    assert data.action_dim == 0
-    traj = data[2]
-    assert traj.is_fully_observed
-    rebuilt = Dataset.from_trajectories(data[i] for i in range(len(data)))
-    np.testing.assert_array_equal(rebuilt.states, data.states)
 
 
 def test_dataset_validation():
     with pytest.raises(ValueError):
         Dataset(states=np.zeros((2, 1, 1)))
     with pytest.raises(ValueError):
-        Dataset(states=np.zeros((2, 3, 1)), actions=np.zeros((2, 1, 0)))
+        Dataset(states=np.zeros((0, 3, 1)))
     with pytest.raises(ValueError):
-        Dataset.from_trajectories([])
-    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
-    traj = simulate_trajectory(theta, (3.0, 0.0), 4, 3.0, np.random.default_rng(0))
+        Dataset(states=np.zeros((2, 3)))
     with pytest.raises(ValueError):
-        Dataset.from_trajectories([traj])  # latent column still present
+        Dataset(states=np.zeros((2, 3, 1)), dt=0.0)
 
 
 def test_generate_dataset_is_seed_deterministic():
