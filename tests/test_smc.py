@@ -386,3 +386,35 @@ def test_replicate_runs_do_not_depend_on_worker_count():
     np.testing.assert_array_equal(serial.thetas, pooled.thetas)
     np.testing.assert_array_equal(serial.weights, pooled.weights)
     np.testing.assert_array_equal(serial.distances, pooled.distances)
+
+
+# Recorded before the engine-distance seam was collapsed; any change to the
+# summary, the distances or the engine's bookkeeping moves these numbers.
+FROZEN_RUNS = {
+    "auxiliary": (
+        [112.25838237275603, 64.112117228649, 57.530086880528046],
+        [0.08246029716109432, 2.107260170405587, 2.560145895673947,
+         0.0341224488765574, 0.1173066418402779, 0.10233218839051722],
+    ),
+    "naive": (
+        [3.319406688477146, 2.651760556874487, 2.363003620665099],
+        [0.1218998768768193, 1.8149072706185305, 1.1085209315860947,
+         0.013935996294794424, 0.06406516885199762, 0.10818099220325281],
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(FROZEN_RUNS))
+def test_run_inference_frozen_values(method):
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=17)
+    settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.05, max_generations=3)
+    posterior = run_inference(
+        ErythroblastModel(), erythroblast_prior(), observed, method, settings,
+        sim_replicates=2, seed=19,
+    )
+    tolerances, mean = FROZEN_RUNS[method]
+    assert posterior.generations == 3
+    assert posterior.n_evaluations == 48
+    np.testing.assert_allclose(posterior.tolerances, tolerances, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(posterior.weighted_mean(), mean, rtol=1e-9, atol=0.0)
