@@ -6,7 +6,7 @@ two-state growth-inhibition culture model as its reference application.
 """
 
 from ._version import __version__
-from .distance import DistanceSpec, auxiliary_distance, information_weight, naive_distance
+from .distance import auxiliary_distance, information_weight, naive_distance
 from .evaluate import (
     PredictiveSample,
     confidence_interval,
@@ -16,15 +16,7 @@ from .evaluate import (
     sample_posterior_predictive,
     sample_true_predictive,
 )
-from .lgdbn import (
-    AuxiliaryFit,
-    SummaryLayout,
-    SummaryStatistics,
-    fit_mle,
-    flatten,
-    joint_distribution,
-    summarize,
-)
+from .lgdbn import AuxiliaryFit, fit_mle, joint_distribution, summarize
 from .model import (
     Dataset,
     ErythroblastModel,
@@ -51,7 +43,6 @@ __all__ = [
     "__version__",
     "AuxiliaryFit",
     "Dataset",
-    "DistanceSpec",
     "ErythroblastModel",
     "PerturbationKernel",
     "Population",
@@ -60,8 +51,6 @@ __all__ = [
     "Prior",
     "SimulationError",
     "SmcSettings",
-    "SummaryLayout",
-    "SummaryStatistics",
     "adapt_kernel",
     "adapt_tolerance",
     "auxiliary_distance",
@@ -69,7 +58,6 @@ __all__ = [
     "confidence_interval",
     "erythroblast_prior",
     "fit_mle",
-    "flatten",
     "generate_dataset",
     "information_weight",
     "joint_distribution",

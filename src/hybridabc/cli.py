@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -140,15 +141,8 @@ def _progress_printer(args, extra: dict):
     def cb(record):
         if args.quiet:
             return
-        payload = dict(extra)
-        payload.update(
-            generation=record.generation,
-            tolerance=record.tolerance,
-            p_acc=record.p_acc,
-            n_retained=record.n_retained,
-            simulator_calls=record.simulator_calls,
-            elapsed_s=round(record.elapsed_s, 3),
-        )
+        payload = dict(extra, **dataclasses.asdict(record))
+        payload["elapsed_s"] = round(record.elapsed_s, 3)
         print(json.dumps(payload), file=sys.stderr)
 
     return cb
@@ -179,7 +173,6 @@ def cmd_infer(args) -> int:
         seed=seed,
         workers=_workers(args),
         progress=progress,
-        naive_variant=cfg.naive_variant,
     )
     io.write_posterior(out_dir / "posterior.csv", posterior, PARAM_NAMES, echo)
     io.write_history(out_dir / "history.csv", records, echo)
@@ -237,7 +230,6 @@ def cmd_experiment(args) -> int:
                     workers=workers,
                     progress=progress,
                     on_replication=on_replication,
-                    naive_variant=cfg.naive_variant,
                 )
             except Exception as exc:  # noqa: BLE001 - keep the grid going
                 failed.append((label, repr(exc)))

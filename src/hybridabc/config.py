@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .distance import NAIVE_VARIANTS
 from .model import PARAM_NAMES, TRUE_KINETICS, ErythroblastModel, Prior
 from .smc import SmcSettings
 
@@ -54,7 +53,6 @@ _BASE = {
         # acceptance-rate estimate is noisy enough to halt runs mid-schedule.
         "p_acc_min": 0.05,
         "distance": "auxiliary",
-        "naive_variant": "trajectory-energy",
         "max_generations": 200,
     },
     "experiment": {
@@ -132,7 +130,6 @@ class ExperimentConfig:
     engine: SmcSettings
     sim_replicates: int
     distance: str
-    naive_variant: str
     noise_levels: tuple[float, ...]
     batch_sizes: tuple[int, ...]
     macro_replications: int
@@ -245,7 +242,6 @@ def _validate(cfg: dict) -> ExperimentConfig:
             "sim_replicates",
             "p_acc_min",
             "distance",
-            "naive_variant",
             "max_generations",
         },
         "engine",
@@ -255,16 +251,11 @@ def _validate(cfg: dict) -> ExperimentConfig:
     sim_replicates = _expect(engine, "sim_replicates", int, "engine")
     p_acc_min = _expect(engine, "p_acc_min", float, "engine")
     distance = _expect(engine, "distance", str, "engine")
-    naive_variant = _expect(engine, "naive_variant", str, "engine")
     max_generations = _expect(engine, "max_generations", int, "engine")
     if sim_replicates < 1:
         raise ConfigError("engine.sim_replicates", "must be at least 1")
     if distance not in ("auxiliary", "naive"):
         raise ConfigError("engine.distance", "expected 'auxiliary' or 'naive'")
-    if naive_variant not in NAIVE_VARIANTS:
-        raise ConfigError(
-            "engine.naive_variant", f"expected one of {list(NAIVE_VARIANTS)}"
-        )
     try:
         settings = SmcSettings(
             n_particles=n_particles,
@@ -313,7 +304,6 @@ def _validate(cfg: dict) -> ExperimentConfig:
         engine=settings,
         sim_replicates=sim_replicates,
         distance=distance,
-        naive_variant=naive_variant,
         noise_levels=tuple(float(v) for v in noise_levels),
         batch_sizes=tuple(int(v) for v in batch_sizes),
         macro_replications=macro_replications,

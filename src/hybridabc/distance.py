@@ -1,77 +1,37 @@
 """Distances between observed and simulated data.
 
-Two routes share one interface.
-
 The auxiliary distance compares summary-statistic vectors, the flattened
-LG-DBN fits of the observed and of the simulated bundle, after one fixed
-linear map ``W`` with ``W.T @ W`` equal to the auxiliary model's Fisher
-information at the observed fit (``information_weight``). This is the
-indirect-inference weighting of Drovandi, Pettitt & Faddy (2011, JRSS-C):
-a difference counts by how many observed-data standard errors it spans, so
-the per-time means, whose standard errors are small, pin the growth rate.
+LG-DBN fits of the observed and of the simulated bundle
+(``lgdbn.summarize``), after one fixed linear map ``W`` with ``W.T @ W``
+equal to the auxiliary model's Fisher information at the observed fit
+(``information_weight``). This is the indirect-inference weighting of
+Drovandi, Pettitt & Faddy (2011, JRSS-C): a difference counts by how many
+observed-data standard errors it spans, so the per-time means, whose
+standard errors are small, pin the growth rate.
 
 The naive distance works on the observable trajectories themselves, the
-"match output trajectories" route of the source abstract. Its variants
-(``NAIVE_VARIANTS``, default first):
-
-``trajectory-energy``
-    The m * L simulated paths are split into L batches of m, the size of
-    the observed dataset, and each batch is compared with the observed
-    trajectories by the energy distance between the two sets of whole
-    trajectories. The L replicate distances reach the engine unreduced; it
-    weights a particle by the fraction of them within the tolerance (Del
-    Moral, Doucet & Jasra 2012), so acceptance keeps the sampling noise of
-    an m-trajectory dataset while every proposal uses all m * L paths.
-``mean-curve``
-    One mean curve of all m * L simulated paths against the observed mean
-    curve. Its simulation noise is averaged away, so the tolerance can
-    shrink onto a point estimate.
+"match output trajectories" route of the source abstract. The m * L
+simulated paths are split into L batches of m, the size of the observed
+dataset, and each batch is compared with the observed trajectories by the
+energy distance between the two sets of whole trajectories. The L replicate
+distances reach the engine unreduced; it weights a particle by the fraction
+of them within the tolerance (Del Moral, Doucet & Jasra 2012), so acceptance
+keeps the sampling noise of an m-trajectory dataset while every proposal
+uses all m * L paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lgdbn import SummaryStatistics
 from .model import Dataset
-
-AUXILIARY = "auxiliary-summary"
-NAIVE = "naive-trajectory"
-
-#: Supported naive-distance variants, the default first.
-NAIVE_VARIANTS = ("trajectory-energy", "mean-curve")
 
 #: A conditional residual variance at or below this fraction of the step's
 #: marginal variance counts as zero (round-off of an exact fit).
 RESIDUAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceSpec:
-    """Which distance to use and, for the auxiliary one, a linear weight.
-
-    ``weight`` is a (k, n) matrix applied to the length-n summary
-    difference before its Euclidean norm is taken.
-    """
-
-    kind: str
-    weight: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind not in (AUXILIARY, NAIVE):
-            raise ValueError(f"unknown distance kind {self.kind!r}")
-        if self.weight is not None:
-            if self.kind != AUXILIARY:
-                raise ValueError("only the auxiliary distance takes a weight")
-            weight = np.asarray(self.weight, dtype=float)
-            if weight.ndim != 2 or not np.isfinite(weight).all():
-                raise ValueError("weight must be a finite 2-D matrix")
-            object.__setattr__(self, "weight", weight)
-
-
-def information_weight(observed: SummaryStatistics, n_trajectories: int) -> np.ndarray:
+def information_weight(observed: np.ndarray, n_trajectories: int) -> np.ndarray:
     """Square root ``W`` of the LG-DBN Fisher information at the observed fit.
 
     For one observed state without actions, the auxiliary model says
@@ -96,18 +56,18 @@ def information_weight(observed: SummaryStatistics, n_trajectories: int) -> np.n
     conditional residual variance at a later step (always so with two
     trajectories) makes the information infinite and raises ValueError.
     """
-    layout = observed.layout
-    if layout.d_x != 1 or layout.d_a != 0:
+    size = observed.size
+    H, rest = divmod(size - 2, 3)
+    if observed.ndim != 1 or H < 1 or rest:
         raise ValueError(
-            "the information weight needs one observed state and no actions"
+            "the information weight needs the (3H + 2,) summary of one "
+            "observed state without actions"
         )
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be positive")
-    H, size = layout.horizon, layout.size
-    parts = layout.slices()
-    mu0, psi0, v0 = parts["mu_x"].start, parts["psi_x"].start, parts["v_x"].start
-    psi = observed.values[parts["psi_x"]]
-    v = observed.values[parts["v_x"]]
+    psi0, v0 = H + 1, 2 * H + 1
+    psi = observed[psi0:v0]
+    v = observed[v0:]
     s2 = v[1:] ** 2 - psi**2 * v[:-1] ** 2
     flat = np.flatnonzero(s2 <= RESIDUAL_RTOL * v[1:] ** 2)
     if flat.size:
@@ -121,8 +81,8 @@ def information_weight(observed: SummaryStatistics, n_trajectories: int) -> np.n
     t = np.arange(H)
 
     mean = np.zeros((H, size))
-    mean[t, mu0 + t + 1] = root_m / s
-    mean[t, mu0 + t] = -psi * root_m / s
+    mean[t, t + 1] = root_m / s
+    mean[t, t] = -psi * root_m / s
     lag = np.zeros((H, size))
     lag[t, psi0 + t] = root_m * v[:-1] / s
     c = np.sqrt(2.0) * root_m / s2
@@ -133,33 +93,27 @@ def information_weight(observed: SummaryStatistics, n_trajectories: int) -> np.n
     if v[0] == 0.0:
         return np.vstack([mean, lag[1:], spread])
     start_mean = np.zeros((1, size))
-    start_mean[0, mu0] = root_m / v[0]
+    start_mean[0, 0] = root_m / v[0]
     start_spread = np.zeros((1, size))
     start_spread[0, v0] = np.sqrt(2.0) * root_m / v[0]
     return np.vstack([start_mean, mean, lag, start_spread, spread])
 
 
 def auxiliary_distance(
-    observed: SummaryStatistics,
-    simulated: SummaryStatistics,
-    spec: DistanceSpec | None = None,
+    observed: np.ndarray, simulated: np.ndarray, weight: np.ndarray | None = None
 ) -> float:
-    """Euclidean norm of the summary difference, weighted if requested."""
-    if observed.layout != simulated.layout:
-        raise ValueError(
-            f"summary layouts differ: {observed.layout} vs {simulated.layout}"
-        )
-    diff = observed.values - simulated.values
-    if spec is not None and spec.weight is not None:
-        if spec.weight.shape[1] != diff.shape[0]:
+    """Euclidean norm of the summary difference, mapped by ``weight`` if given.
+
+    ``weight`` is a (k, n) matrix applied to the length-n difference.
+    """
+    if observed.shape != simulated.shape:
+        raise ValueError(f"summary shapes differ: {observed.shape} vs {simulated.shape}")
+    diff = observed - simulated
+    if weight is not None:
+        if weight.shape[1] != diff.shape[0]:
             raise ValueError("weight width does not match the summary length")
-        diff = spec.weight @ diff
+        diff = weight @ diff
     return float(np.sqrt(np.dot(diff, diff)))
-
-
-def mean_curve(data: Dataset) -> np.ndarray:
-    """Average observable trajectory, shape (H + 1, d_x)."""
-    return data.states.mean(axis=0)
 
 
 def _mean_pair_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -173,7 +127,7 @@ def _mean_pair_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sq.reshape(sq.shape[:-2] + (-1,)).mean(axis=-1)
 
 
-def trajectory_energy(observed: Dataset, simulated: Dataset) -> np.ndarray:
+def naive_distance(observed: Dataset, simulated: Dataset) -> np.ndarray:
     """Energy distance between the observed and each batch of simulated paths.
 
     Each trajectory is one point in R^((H + 1) d_x). The simulated paths are
@@ -183,6 +137,11 @@ def trajectory_energy(observed: Dataset, simulated: Dataset) -> np.ndarray:
     pairs (Szekely & Rizzo 2013). It is zero when the two sets coincide and
     grows as they differ anywhere in distribution, not only in the mean.
     """
+    if (
+        observed.horizon != simulated.horizon
+        or observed.state_dim != simulated.state_dim
+    ):
+        raise ValueError("datasets must share horizon and state dimension")
     m = len(observed)
     if len(simulated) % m:
         raise ValueError(
@@ -192,28 +151,3 @@ def trajectory_energy(observed: Dataset, simulated: Dataset) -> np.ndarray:
     y = simulated.states.reshape(len(simulated) // m, m, -1)
     energy = 2.0 * _mean_pair_distance(y, x) - _mean_pair_distance(x, x) - _mean_pair_distance(y, y)
     return np.sqrt(np.maximum(energy, 0.0))
-
-
-def naive_distance(
-    observed: Dataset, simulated: Dataset, variant: str = "trajectory-energy"
-):
-    """Distance computed on the observable trajectories themselves.
-
-    ``trajectory-energy`` returns ``trajectory_energy``: one distance per
-    batch of ``len(observed)`` simulated paths, an array of length L.
-    ``mean-curve`` returns one float, the Euclidean distance between the
-    observed mean curve and the mean curve of all simulated paths.
-    """
-    if variant not in NAIVE_VARIANTS:
-        raise ValueError(
-            f"unknown naive variant {variant!r}; have {list(NAIVE_VARIANTS)}"
-        )
-    if (
-        observed.horizon != simulated.horizon
-        or observed.state_dim != simulated.state_dim
-    ):
-        raise ValueError("datasets must share horizon and state dimension")
-    if variant == "trajectory-energy":
-        return trajectory_energy(observed, simulated)
-    diff = (mean_curve(observed) - mean_curve(simulated)).ravel()
-    return float(np.sqrt(np.dot(diff, diff)))

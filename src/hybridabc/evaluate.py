@@ -80,14 +80,9 @@ def sample_posterior_predictive(
     target_t: int,
     n_samples: int,
     rng,
-    weighted: bool = True,
 ) -> PredictiveSample:
-    """Posterior predictive at the target step.
-
-    Parameters are drawn from the particles by weight unless ``weighted``
-    is False, in which case retained particles are used uniformly.
-    """
-    idx = posterior.sample_indices(rng, n_samples, weighted=weighted)
+    """Posterior predictive at the target step, parameters drawn by weight."""
+    idx = posterior.sample_indices(rng, n_samples)
     values = predictive_from_thetas(posterior.thetas[idx], model, target_t, rng)
     return PredictiveSample(values=values, source="posterior", target_t=target_t)
 
@@ -201,7 +196,6 @@ def run_replication(
     rep_seed: int,
     workers: int = 1,
     progress=None,
-    naive_variant: str = "trajectory-energy",
 ) -> tuple[dict, dict]:
     """One macro-replication: both methods on one observed dataset.
 
@@ -240,7 +234,6 @@ def run_replication(
             seed=rep_seed,
             workers=workers,
             progress=method_progress,
-            naive_variant=naive_variant,
         )
         runtime = time.perf_counter() - t0
         post_pred = sample_posterior_predictive(
@@ -275,7 +268,6 @@ def run_cell(
     workers: int = 1,
     progress=None,
     on_replication=None,
-    naive_variant: str = "trajectory-energy",
 ) -> CellResult:
     """Run one grid cell over ``macro_replications`` independent repeats.
 
@@ -300,7 +292,6 @@ def run_cell(
                 rep_seed,
                 workers=workers,
                 progress=progress,
-                naive_variant=naive_variant,
             )
         except Exception as exc:  # noqa: BLE001 - isolate replication failures
             result.failures.append((r, repr(exc)))

@@ -8,6 +8,7 @@ round-trip exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .model import Dataset
+from .smc import GenerationRecord
 
 _COMMENT = "#"
 
@@ -141,34 +143,10 @@ def write_posterior(path, posterior, param_names, config_echo: dict) -> None:
 
 
 def write_history(path, records, config_echo: dict) -> None:
-    """Per-generation engine trace from progress records."""
-    rows = [
-        (
-            rec.generation,
-            rec.tolerance,
-            rec.p_acc,
-            rec.n_retained,
-            rec.n_evaluations,
-            rec.simulator_calls,
-            rec.elapsed_s,
-        )
-        for rec in records
-    ]
-    write_table(
-        path,
-        "history",
-        config_echo,
-        [
-            "generation",
-            "tolerance",
-            "p_acc",
-            "n_retained",
-            "n_evaluations",
-            "simulator_calls",
-            "elapsed_s",
-        ],
-        rows,
-    )
+    """Per-generation engine trace, one column per ``GenerationRecord`` field."""
+    columns = [f.name for f in dataclasses.fields(GenerationRecord)]
+    rows = [dataclasses.astuple(rec) for rec in records]
+    write_table(path, "history", config_echo, columns, rows)
 
 
 def write_replications(path, cell, config_echo: dict) -> None:

@@ -3,12 +3,13 @@
 The auxiliary model treats each state transition as a linear regression on
 the previous (centered) state and action with independent Gaussian residuals
 whose variance may change over time. Its maximum-likelihood fit is cheap and
-closed-form, and the flattened fit doubles as the summary-statistic vector
-used by the auxiliary distance. ``fit_mle`` fits one observed state without
-actions, the only data the package produces; fits with action blocks are
-built directly. ``joint_distribution`` expands a fit into
-the mean and covariance of the implied joint normal over a whole trajectory,
-which is useful for validating the fit against sampled data.
+closed-form. ``summarize`` returns it for one observed state without
+actions, the only data the package produces, as one flat vector of length
+3H + 2: the summary statistic of the auxiliary distance. ``fit_mle`` reads
+the same vector into an ``AuxiliaryFit``; fits with action blocks are built
+directly. ``joint_distribution`` expands a fit into the mean and covariance
+of the implied joint normal over a whole trajectory, which is useful for
+validating the fit against sampled data.
 """
 
 from __future__ import annotations
@@ -19,42 +20,6 @@ import numpy as np
 
 from . import kernels
 from .model import Dataset
-
-
-@dataclass(frozen=True)
-class SummaryLayout:
-    """Shape key for a flattened fit: transitions, state dim, action dim."""
-
-    horizon: int
-    d_x: int
-    d_a: int
-
-    def __post_init__(self):
-        if self.horizon < 1 or self.d_x < 1 or self.d_a < 0:
-            raise ValueError("invalid summary layout")
-
-    @property
-    def size(self) -> int:
-        H, d_x, d_a = self.horizon, self.d_x, self.d_a
-        return (H + 1) * d_x + H * d_a + H * d_x * d_x + H * d_x * d_a + H * d_a + (H + 1) * d_x
-
-    def slices(self) -> dict[str, slice]:
-        """Component positions inside the flat vector, in canonical order."""
-        H, d_x, d_a = self.horizon, self.d_x, self.d_a
-        sizes = {
-            "mu_x": (H + 1) * d_x,
-            "mu_a": H * d_a,
-            "psi_x": H * d_x * d_x,
-            "psi_a": H * d_x * d_a,
-            "sigma": H * d_a,
-            "v_x": (H + 1) * d_x,
-        }
-        out = {}
-        start = 0
-        for name, size in sizes.items():
-            out[name] = slice(start, start + size)
-            start += size
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,59 +68,13 @@ class AuxiliaryFit:
         if (self.sigma < 0).any() or (self.v_x < 0).any():
             raise ValueError("stds must be non-negative")
 
-    @property
-    def layout(self) -> SummaryLayout:
-        return SummaryLayout(
-            horizon=self.mu_x.shape[0] - 1,
-            d_x=self.mu_x.shape[1],
-            d_a=self.mu_a.shape[1],
-        )
 
+def summarize(data: Dataset) -> np.ndarray:
+    """Summary-statistic vector of a dataset: the auxiliary fit, flattened.
 
-@dataclass(frozen=True, eq=False)
-class SummaryStatistics:
-    """Flattened auxiliary fit plus the layout needed to interpret it."""
-
-    values: np.ndarray
-    layout: SummaryLayout
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.layout.size,):
-            raise ValueError(
-                f"summary length {values.shape} does not match layout size {self.layout.size}"
-            )
-        object.__setattr__(self, "values", values)
-
-
-def flatten(fit: AuxiliaryFit) -> SummaryStatistics:
-    """Concatenate fit components in canonical order.
-
-    Order: state means, action means, state regression weights, action
-    regression weights, action stds, state stds; each block time-major and
-    row-major within a time step.
-    """
-    values = np.concatenate(
-        [
-            fit.mu_x.ravel(),
-            fit.mu_a.ravel(),
-            fit.psi_x.ravel(),
-            fit.psi_a.ravel(),
-            fit.sigma.ravel(),
-            fit.v_x.ravel(),
-        ]
-    )
-    return SummaryStatistics(values=values, layout=fit.layout)
-
-
-def fit_mle(data: Dataset) -> AuxiliaryFit:
-    """Closed-form maximum-likelihood fit of the auxiliary model.
-
-    Means are sample means per time step. Stds are square roots of the
-    per-time second moments of the centered values (divisor m). Each
-    regression weight is the ordinary least-squares slope of centered step
-    t + 1 on centered step t, and zero where step t has no spread.
-
+    For H transitions of one observed state the vector has length 3H + 2:
+    the H + 1 per-time means, the H lag-one regression weights and the
+    H + 1 marginal stds, each block time-major (``kernels.aux_summary_1d``).
     Only one observed state is supported, which is what every dataset the
     package reads or generates holds.
     """
@@ -165,9 +84,20 @@ def fit_mle(data: Dataset) -> AuxiliaryFit:
         raise ValueError(
             f"auxiliary fit needs one observed state, got {data.state_dim}"
         )
+    return kernels.aux_summary_1d(data.states[:, :, 0])
+
+
+def fit_mle(data: Dataset) -> AuxiliaryFit:
+    """Closed-form maximum-likelihood fit of the auxiliary model.
+
+    Means are sample means per time step. Stds are square roots of the
+    per-time second moments of the centered values (divisor m). Each
+    regression weight is the ordinary least-squares slope of centered step
+    t + 1 on centered step t, and zero where step t has no spread.
+    """
+    eta = summarize(data)
     T = data.horizon + 1
     H = T - 1
-    eta = kernels.aux_summary_1d(data.states[:, :, 0])
     return AuxiliaryFit(
         mu_x=eta[:T].reshape(T, 1),
         mu_a=np.zeros((H, 0)),
@@ -176,11 +106,6 @@ def fit_mle(data: Dataset) -> AuxiliaryFit:
         sigma=np.zeros((H, 0)),
         v_x=eta[T + H :].reshape(T, 1),
     )
-
-
-def summarize(data: Dataset) -> SummaryStatistics:
-    """Summary-statistic vector of a dataset: the flattened auxiliary fit."""
-    return flatten(fit_mle(data))
 
 
 def joint_distribution(fit: AuxiliaryFit) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +117,7 @@ def joint_distribution(fit: AuxiliaryFit) -> tuple[np.ndarray, np.ndarray]:
     block-triangular, the joint covariance is
     (I - B)^{-1} S (I - B)^{-T} where S is the diagonal of squared stds.
     """
-    layout = fit.layout
-    H, d_x, d_a = layout.horizon, layout.d_x, layout.d_a
+    H, d_x, d_a = fit.psi_a.shape
     dim = (H + 1) * d_x + H * d_a
 
     x_off = np.empty(H + 1, dtype=int)

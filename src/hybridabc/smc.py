@@ -7,18 +7,18 @@ tolerance to the ``alpha`` quantile of the pooled distances. It stops once
 the refill acceptance rate drops to ``p_acc_min`` or below.
 
 The engine is model-agnostic: it sees only a prior and a distance objective
-``objective(theta, rng)``. Per-slot random sub-streams make every run a pure
-function of the seed, whatever the worker count.
+``objective(theta, rng)`` returning one distance or an array of L replicate
+distances, each from its own simulated dataset; L is read off the returns
+and must not change within a run. Per-slot random sub-streams make every
+run a pure function of the seed, whatever the worker count.
 
-An objective may return one distance or, when it exposes ``replicates``
-= L > 1, L replicate distances, each from its own simulated dataset. A
-particle then counts as within the tolerance when at least one replicate
-is, so its distance is the smallest replicate; the returned posterior
-weights multiply each importance weight by the fraction of replicates
-within the final tolerance. That fraction is the unbiased replicate
-estimate of the ABC likelihood of Del Moral, Doucet & Jasra (2012, Stat.
-Comput.), so the weighted particles target the ABC posterior of a single
-simulated dataset while each proposal uses all L of them.
+A particle counts as within the tolerance when at least one of its
+replicates is, so its distance is the smallest replicate; the returned
+posterior weights multiply each importance weight by the fraction of
+replicates within the final tolerance. That fraction is the unbiased
+replicate estimate of the ABC likelihood of Del Moral, Doucet & Jasra (2012,
+Stat. Comput.), so the weighted particles target the ABC posterior of a
+single simulated dataset while each proposal uses all L of them.
 """
 
 from __future__ import annotations
@@ -30,15 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import (
-    AUXILIARY,
-    NAIVE_VARIANTS,
-    DistanceSpec,
-    auxiliary_distance,
-    information_weight,
-    naive_distance,
-)
-from .lgdbn import SummaryStatistics, summarize
+from .distance import auxiliary_distance, information_weight, naive_distance
+from .lgdbn import summarize
 from .model import Dataset, Prior
 from .rng import STREAM_PROPOSAL, STREAM_SIMULATION, substream
 
@@ -185,11 +178,9 @@ class PosteriorApproximation:
         inside = np.abs(self.thetas[:, index] - center) <= halfwidth
         return float(self.weights[inside].sum())
 
-    def sample_indices(self, rng: np.random.Generator, n: int, weighted: bool = True) -> np.ndarray:
-        """Particle indices drawn by weight (default) or uniformly."""
-        if weighted:
-            return resample_indices(self.weights, rng, n)
-        return rng.integers(0, len(self), size=n)
+    def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Particle indices drawn by weight."""
+        return resample_indices(self.weights, rng, n)
 
 
 @dataclass(frozen=True)
@@ -295,11 +286,13 @@ def replicate_fractions(replicates: np.ndarray, tolerance: float) -> np.ndarray:
 
 
 def _evaluate_chunk(objective, seed, gen_index, slots, thetas):
-    out = np.empty((len(slots), int(getattr(objective, "replicates", 1))))
-    for j, slot in enumerate(slots):
-        rng = substream(seed, STREAM_SIMULATION, gen_index, slot)
-        out[j] = objective(thetas[j], rng)
-    return out
+    """Replicate distances of each slot, stacked into a (len(slots), L) array."""
+    return np.stack(
+        [
+            np.atleast_1d(objective(theta, substream(seed, STREAM_SIMULATION, gen_index, slot)))
+            for slot, theta in zip(slots, thetas)
+        ]
+    )
 
 
 def _evaluate(objective, seed, gen_index, slots, thetas, executor, workers):
@@ -331,8 +324,8 @@ def run_abc_smc(
         Sampling distribution and density for parameter vectors.
     objective : callable(theta, rng) -> float or array of shape (L,)
         Distance between data simulated under ``theta`` and the observed
-        data. May expose ``calls_per_evaluation`` for simulator accounting
-        and ``replicates`` (L, default 1) for replicate distances.
+        data, the same L for every call; a float counts as L = 1. May
+        expose ``calls_per_evaluation`` for simulator accounting.
     settings : SmcSettings
     seed : int
         Master seed; the run is a pure function of it.
@@ -466,12 +459,12 @@ def run_abc_smc(
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryObjective:
-    """Distance via the auxiliary-summary route."""
+    """Information-weighted distance between fitted summaries."""
 
     model: object
     n_paths: int
-    observed_summary: SummaryStatistics
-    spec: DistanceSpec
+    observed_summary: np.ndarray
+    weight: np.ndarray
 
     @property
     def calls_per_evaluation(self) -> int:
@@ -480,60 +473,42 @@ class AuxiliaryObjective:
     def __call__(self, theta, rng) -> float:
         states = self.model.simulate_paths(theta, self.n_paths, rng)
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
-        return auxiliary_distance(self.observed_summary, summarize(simulated), self.spec)
+        return auxiliary_distance(self.observed_summary, summarize(simulated), self.weight)
 
 
 @dataclass(frozen=True, eq=False)
 class NaiveObjective:
-    """Distance on observable trajectories, route picked by ``variant``."""
+    """Energy distances between the observed and each batch of simulated paths."""
 
     model: object
     n_paths: int
     observed: Dataset
-    variant: str = "trajectory-energy"
 
     @property
     def calls_per_evaluation(self) -> int:
         return self.n_paths
 
-    @property
-    def replicates(self) -> int:
-        """Distances per evaluation: one per batch of ``len(observed)`` paths."""
-        if self.variant == "mean-curve":
-            return 1
-        return self.n_paths // len(self.observed)
-
-    def __call__(self, theta, rng):
+    def __call__(self, theta, rng) -> np.ndarray:
         states = self.model.simulate_paths(theta, self.n_paths, rng)
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
-        return naive_distance(self.observed, simulated, self.variant)
+        return naive_distance(self.observed, simulated)
 
 
-def build_objective(
-    model,
-    observed: Dataset,
-    method: str,
-    sim_replicates: int,
-    naive_variant: str = "trajectory-energy",
-):
+def build_objective(model, observed: Dataset, method: str, sim_replicates: int):
     """Distance objective for ``method``, simulating m * L paths per particle."""
     if sim_replicates < 1:
         raise ValueError("sim_replicates must be positive")
     n_paths = len(observed) * sim_replicates
     if method == "auxiliary":
         eta_obs = summarize(observed)
-        spec = DistanceSpec(AUXILIARY, information_weight(eta_obs, len(observed)))
         return AuxiliaryObjective(
-            model=model, n_paths=n_paths, observed_summary=eta_obs, spec=spec
+            model=model,
+            n_paths=n_paths,
+            observed_summary=eta_obs,
+            weight=information_weight(eta_obs, len(observed)),
         )
     if method == "naive":
-        if naive_variant not in NAIVE_VARIANTS:
-            raise ValueError(
-                f"unknown naive variant {naive_variant!r}; have {list(NAIVE_VARIANTS)}"
-            )
-        return NaiveObjective(
-            model=model, n_paths=n_paths, observed=observed, variant=naive_variant
-        )
+        return NaiveObjective(model=model, n_paths=n_paths, observed=observed)
     raise ValueError(f"unknown method {method!r}; expected 'auxiliary' or 'naive'")
 
 
@@ -547,8 +522,7 @@ def run_inference(
     seed: int,
     workers: int = 1,
     progress=None,
-    naive_variant: str = "trajectory-energy",
 ) -> PosteriorApproximation:
     """Infer the posterior for one observed dataset with one method."""
-    objective = build_objective(model, observed, method, sim_replicates, naive_variant)
+    objective = build_objective(model, observed, method, sim_replicates)
     return run_abc_smc(prior, objective, settings, seed, workers=workers, progress=progress)

@@ -97,17 +97,25 @@ class ToyNormalObjective:
 
 @dataclass(frozen=True)
 class ScaledReplicateObjective:
-    """Deterministic replicate distances k |theta_0| for k = 1..replicates.
+    """Deterministic replicate distances k |theta_0| for k = 1..count.
 
     The smallest replicate equals ``AbsoluteObjective``'s single distance, so
     the engine keeps the same particles under both; only the replicate
-    fractions, min(replicates, floor(tol / |theta_0|)) / replicates, differ.
+    fractions, min(count, floor(tol / |theta_0|)) / count, differ.
     """
 
-    replicates: int = 4
+    count: int = 4
 
     def __call__(self, theta, rng):
-        return abs(float(theta[0])) * np.arange(1.0, self.replicates + 1.0)
+        return abs(float(theta[0])) * np.arange(1.0, self.count + 1.0)
+
+
+@dataclass(frozen=True)
+class RaggedReplicateObjective:
+    """|theta_0| once for negative theta_0, twice otherwise: no fixed width."""
+
+    def __call__(self, theta, rng):
+        return np.full(1 if theta[0] < 0.0 else 2, abs(float(theta[0])))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
+import dataclasses
 import importlib
 import importlib.metadata
+import json
+import os
 import re
 import subprocess
 import sys
@@ -9,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hybridabc
 from hybridabc import io
 from hybridabc.cli import main
 from hybridabc.config import PRESETS, ConfigError, build_config, load_config
 from hybridabc.model import Dataset, generate_dataset
-from hybridabc.smc import SmcSettings, run_abc_smc
+from hybridabc.smc import GenerationRecord, SmcSettings, run_abc_smc
 
 TINY_ENGINE = textwrap.dedent(
     """
@@ -42,7 +46,6 @@ def test_defaults_match_documented_protocol():
     assert cfg.engine.max_generations == 200
     assert cfg.sim_replicates == 30
     assert cfg.distance == "auxiliary"
-    assert cfg.naive_variant == "trajectory-energy"
     assert cfg.horizon == 10
     assert cfg.dt == 3.0
     assert cfg.init == (3.0, 0.0)
@@ -107,7 +110,7 @@ def test_true_theta_noise_override_and_kinetics():
         ({"prior": {"r_g": [1.0, 0.5]}}, "prior.r_g"),
         ({"prior": {"r_g": [0.0]}}, "prior.r_g"),
         ({"engine": {"distance": "fancy"}}, "engine.distance"),
-        ({"engine": {"naive_variant": "pairwise"}}, "engine.naive_variant"),
+        ({"engine": {"naive_variant": "trajectory-energy"}}, "engine.naive_variant"),
         ({"engine": {"sim_replicates": 0}}, "engine.sim_replicates"),
         ({"engine": {"alpha": 1.5}}, "engine"),
         ({"engine": {"n_particles": 1}}, "engine"),
@@ -254,6 +257,25 @@ def test_cli_infer_round_trip(tmp_path):
     assert '"distance":"naive"' in n_meta["config"]
 
 
+def test_progress_lines_and_history_columns_follow_the_generation_record(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(TINY_ENGINE)
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--quiet", "--config", str(cfg), "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    argv = ["infer", "--config", str(cfg), "--data", str(data), "--workers", "1", "--out", str(out)]
+    assert main(argv) == 0
+    fields = [f.name for f in dataclasses.fields(GenerationRecord)]
+    lines = [json.loads(line) for line in capsys.readouterr().err.splitlines() if line.startswith("{")]
+    assert lines
+    for line in lines:
+        assert list(line) == ["method"] + fields
+    _, columns, rows = io.read_table(out / "history.csv")
+    assert columns == fields
+    assert len(rows) == len(lines)
+
+
 def test_cli_infer_rejects_mismatched_dataset(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(TINY_ENGINE)
@@ -310,11 +332,15 @@ def test_cli_experiment_smoke(tmp_path):
 
 
 def test_console_script_entry_point():
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(hybridabc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "hybridabc.cli", "validate-config"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ok:")
@@ -343,9 +369,10 @@ def test_declared_dependencies_are_installed_and_import():
 
 
 def test_naive_variant_and_batch_size_choices():
-    assert build_config({"engine": {"naive_variant": "mean-curve"}}).naive_variant == "mean-curve"
-    with pytest.raises(ConfigError) as err:
-        build_config({"engine": {"naive_variant": "batch-mean-curve"}})
+    # The energy distance is the only naive route, so a config that still
+    # picks a variant is stale and names an unknown key.
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        build_config({"engine": {"naive_variant": "mean-curve"}})
     assert err.value.path == "engine.naive_variant"
     # Two trajectories leave the auxiliary fit no residual variance.
     with pytest.raises(ConfigError) as err:

@@ -2,60 +2,41 @@ import numpy as np
 import pytest
 
 from helpers import sample_lgdbn
-from hybridabc.distance import (
-    AUXILIARY,
-    NAIVE,
-    NAIVE_VARIANTS,
-    DistanceSpec,
-    auxiliary_distance,
-    information_weight,
-    mean_curve,
-    naive_distance,
-    trajectory_energy,
-)
-from hybridabc.lgdbn import SummaryLayout, SummaryStatistics, summarize
+from hybridabc.distance import auxiliary_distance, information_weight, naive_distance
+from hybridabc.lgdbn import summarize
 from hybridabc.model import Dataset, generate_dataset
 
 
-def _summary(values, horizon):
-    layout = SummaryLayout(horizon=horizon, d_x=1, d_a=0)
-    return SummaryStatistics(values=np.asarray(values, dtype=float), layout=layout)
-
-
 def test_auxiliary_distance_is_euclidean():
-    layout_size = SummaryLayout(horizon=1, d_x=1, d_a=0).size  # 2 + 1 + 2
-    a = _summary(np.zeros(layout_size), 1)
-    b = _summary([3.0, 0.0, 4.0, 0.0, 0.0], 1)
+    a = np.zeros(5)  # H = 1: 2 means, 1 lag weight, 2 stds
+    b = np.array([3.0, 0.0, 4.0, 0.0, 0.0])
     assert auxiliary_distance(a, b) == pytest.approx(5.0, rel=1e-15)
     assert auxiliary_distance(a, a) == 0.0
 
 
 def test_auxiliary_distance_applies_scales():
-    a = _summary(np.zeros(5), 1)
-    b = _summary([2.0, 0.0, 0.0, 0.0, 0.0], 1)
-    spec = DistanceSpec(kind=AUXILIARY, weight=np.diag([0.5, 1.0, 1.0, 1.0, 1.0]))
-    assert auxiliary_distance(a, b, spec) == pytest.approx(1.0, rel=1e-15)
+    a = np.zeros(5)
+    b = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+    weight = np.diag([0.5, 1.0, 1.0, 1.0, 1.0])
+    assert auxiliary_distance(a, b, weight) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_auxiliary_distance_rejects_layout_mismatch():
-    a = _summary(np.zeros(5), 1)
-    b = _summary(np.zeros(8), 2)
-    with pytest.raises(ValueError):
-        auxiliary_distance(a, b)
+    with pytest.raises(ValueError, match="summary shapes differ"):
+        auxiliary_distance(np.zeros(5), np.zeros(8))
 
 
 def test_auxiliary_distance_rejects_wrong_scale_length():
-    a = _summary(np.zeros(5), 1)
-    spec = DistanceSpec(kind=AUXILIARY, weight=np.eye(4))
-    with pytest.raises(ValueError):
-        auxiliary_distance(a, a, spec)
+    a = np.zeros(5)
+    with pytest.raises(ValueError, match="weight width"):
+        auxiliary_distance(a, a, np.eye(4))
 
 
 def test_standardization_scales_floor():
     # A start with zero spread is a fixed initial state: mu_0, psi_0 and v_0
     # get no row. H = 2, m = 3, psi_1 = 0.6, v = (0, 0.5, 0.5), so the
     # residual stds are s_1 = v_1 = 0.5 and s_2 = sqrt(0.25 - 0.09) = 0.4.
-    summary = _summary([3.0, 3.5, 4.0, 0.0, 0.6, 0.0, 0.5, 0.5], 2)
+    summary = np.array([3.0, 3.5, 4.0, 0.0, 0.6, 0.0, 0.5, 0.5])
     weight = information_weight(summary, 3)
     assert weight.shape == (5, 8)
     np.testing.assert_array_equal(weight[:, [0, 3, 5]], 0.0)
@@ -74,7 +55,7 @@ def test_information_weight_two_step_hand_example():
     # H = 2, m = 4, mu = (1, 2, 3), psi = (0.6, 0.6), v = (1, 1, 1): both
     # residual stds are sqrt(1 - 0.36) = 0.8. Expected values are the Fisher
     # quadratic forms worked out term by term.
-    summary = _summary([1.0, 2.0, 3.0, 0.6, 0.6, 1.0, 1.0, 1.0], 2)
+    summary = np.array([1.0, 2.0, 3.0, 0.6, 0.6, 1.0, 1.0, 1.0])
     weight = information_weight(summary, 4)
     assert weight.shape == (8, 8)
     np.testing.assert_array_equal(weight, np.tril(weight))
@@ -122,7 +103,7 @@ def test_information_weight_whitens_independent_fits():
         for _ in range(300):
             a, b = fit(), fit()
             weight = information_weight(a, 500)
-            norms.append(np.sum((weight @ (a.values - b.values)) ** 2))
+            norms.append(np.sum((weight @ (a - b)) ** 2))
         assert weight.shape[0] == free
         assert np.mean(norms) == pytest.approx(2.0 * free, rel=0.1)
 
@@ -134,36 +115,19 @@ def test_information_weight_rejects_two_trajectories_and_other_layouts():
         information_weight(summarize(pair), 2)
     three = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=4)
     assert np.isfinite(information_weight(summarize(three), 3)).all()
-    layout = SummaryLayout(horizon=1, d_x=1, d_a=1)
-    with pytest.raises(ValueError, match="one observed state"):
-        information_weight(SummaryStatistics(np.ones(layout.size), layout), 3)
-
-
-def test_distance_spec_validation():
-    with pytest.raises(ValueError):
-        DistanceSpec(kind="other")
-    with pytest.raises(ValueError):
-        DistanceSpec(kind=AUXILIARY, weight=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        DistanceSpec(kind=AUXILIARY, weight=np.array([[1.0, np.nan]]))
-    with pytest.raises(ValueError):
-        DistanceSpec(kind=NAIVE, weight=np.ones((2, 2)))
-    assert DistanceSpec(kind=NAIVE).weight is None
-
-
-def test_mean_curve_averages_trajectories():
-    states = np.stack(
-        [np.arange(4.0).reshape(4, 1), 3.0 - np.arange(4.0).reshape(4, 1)]
-    )
-    curve = mean_curve(Dataset(states=states))
-    np.testing.assert_allclose(curve[:, 0], [1.5, 1.5, 1.5, 1.5], rtol=1e-15)
+    # Two observed states over H = 1: 4 means, 4 lag weights and 4 stds are
+    # 12 components, not 3H + 2; a matrix is no summary either.
+    for other in (np.ones(12), np.ones((3, 5))):
+        with pytest.raises(ValueError, match="one observed state"):
+            information_weight(other, 3)
 
 
 def test_naive_distance_frozen_example():
-    # Mean curves differ by exactly 1 at each of 11 time points.
+    # Every path is constant, 1 observed against 2 simulated, over 11 time
+    # points: E|X - Y| = sqrt(11) and both within-set terms are 0.
     ones = np.ones((3, 11, 1))
-    d = naive_distance(Dataset(states=ones), Dataset(states=2.0 * ones), "mean-curve")
-    assert d == pytest.approx(np.sqrt(11.0), rel=1e-15)
+    d = naive_distance(Dataset(states=ones), Dataset(states=2.0 * ones))
+    np.testing.assert_allclose(d, [np.sqrt(2.0 * np.sqrt(11.0))], rtol=1e-15)
 
 
 def test_naive_distance_rejects_shape_mismatch():
@@ -171,18 +135,6 @@ def test_naive_distance_rejects_shape_mismatch():
         naive_distance(Dataset(states=np.ones((2, 4, 1))), Dataset(states=np.ones((2, 5, 1))))
     with pytest.raises(ValueError):
         naive_distance(Dataset(states=np.ones((2, 4, 1))), Dataset(states=np.ones((2, 4, 2))))
-
-
-def test_naive_distance_variant_selection():
-    ones = np.ones((3, 11, 1))
-    a, b = Dataset(states=ones), Dataset(states=2.0 * ones)
-    np.testing.assert_array_equal(
-        naive_distance(a, b), naive_distance(a, b, variant="trajectory-energy")
-    )
-    assert naive_distance(a, b, variant="mean-curve") == pytest.approx(np.sqrt(11.0))
-    with pytest.raises(ValueError, match="naive variant"):
-        naive_distance(a, b, variant="pairwise")
-    assert NAIVE_VARIANTS == ("trajectory-energy", "mean-curve")
 
 
 def test_trajectory_energy_frozen_example():
@@ -193,21 +145,19 @@ def test_trajectory_energy_frozen_example():
     simulated = Dataset(
         states=np.array([[[0.0], [0.0]], [[0.0], [2.0]], [[0.0], [1.0]], [[0.0], [1.0]]])
     )
-    d = trajectory_energy(observed, simulated)
+    d = naive_distance(observed, simulated)
     np.testing.assert_allclose(d, [0.0, 1.0], rtol=0.0, atol=1e-12)
-    np.testing.assert_array_equal(naive_distance(observed, simulated), d)
     with pytest.raises(ValueError, match="batches of 2"):
-        trajectory_energy(observed, Dataset(states=np.zeros((3, 2, 1))))
+        naive_distance(observed, Dataset(states=np.zeros((3, 2, 1))))
 
 
 def test_trajectory_energy_sees_spread_not_only_the_mean():
-    # Same mean curve, different spread: the mean-curve distance is 0, the
-    # energy distance is not.
+    # Same mean curve, different spread: the energy distance still sees it.
     rng = np.random.default_rng(3)
     base = rng.standard_normal((20, 5, 1))
     base -= base.mean(axis=0)
     observed = Dataset(states=base)
     wide = Dataset(states=np.concatenate([3.0 * base, base]))
-    assert naive_distance(observed, wide, "mean-curve") == pytest.approx(0.0, abs=1e-12)
-    d = trajectory_energy(observed, wide)
+    np.testing.assert_allclose(wide.states.mean(axis=0), 0.0, atol=1e-12)
+    d = naive_distance(observed, wide)
     assert d[0] > 0.5 and d[1] == pytest.approx(0.0, abs=1e-6)

@@ -127,25 +127,16 @@ def test_predictive_from_thetas_uses_each_row():
     np.testing.assert_allclose(out[1], reference_trajectory(t2, (3.0, 0.0), 10, 3.0)[10], rtol=1e-12)
 
 
-def test_posterior_predictive_weighted_and_uniform():
+def test_posterior_predictive_draws_by_weight():
     model = ErythroblastModel()
     t1 = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
     t2 = np.array([0.2, 3.4, 2.6, 0.005, 0.0, 0.0])
     posterior = _posterior([t1, t2], [1.0, 0.0])
     ref1 = reference_trajectory(t1, (3.0, 0.0), 10, 3.0)[10]
-    ref2 = reference_trajectory(t2, (3.0, 0.0), 10, 3.0)[10]
 
-    weighted = sample_posterior_predictive(
-        posterior, model, 11, 64, np.random.default_rng(1), weighted=True
-    )
+    weighted = sample_posterior_predictive(posterior, model, 11, 64, np.random.default_rng(1))
     np.testing.assert_allclose(weighted.values, np.tile(ref1, (64, 1)), rtol=1e-12)
     assert weighted.source == "posterior"
-
-    uniform = sample_posterior_predictive(
-        posterior, model, 11, 64, np.random.default_rng(1), weighted=False
-    )
-    hits2 = np.isclose(uniform.values[:, 0], ref2[0], rtol=1e-9).sum()
-    assert 10 < hits2 < 54  # both particles appear under uniform draws
 
 
 def test_run_replication_is_reproducible():

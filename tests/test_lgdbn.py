@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import interleave, sample_lgdbn
-from hybridabc.lgdbn import (
-    AuxiliaryFit,
-    SummaryLayout,
-    SummaryStatistics,
-    fit_mle,
-    flatten,
-    joint_distribution,
-    summarize,
-)
+from hybridabc.lgdbn import AuxiliaryFit, fit_mle, joint_distribution, summarize
 from hybridabc.model import Dataset
 
 
@@ -26,56 +18,28 @@ def _random_fit(rng, H=3, d_x=2, d_a=1):
 
 
 def test_layout_size_for_scalar_state_no_actions():
-    layout = SummaryLayout(horizon=10, d_x=1, d_a=0)
-    assert layout.size == 11 + 10 + 11
-    slices = layout.slices()
-    assert slices["mu_x"] == slice(0, 11)
-    assert slices["psi_x"] == slice(11, 21)
-    assert slices["v_x"] == slice(21, 32)
-    assert slices["mu_a"] == slice(11, 11)
-
-
-def test_layout_size_counts_every_block():
-    H, d_x, d_a = 3, 2, 1
-    layout = SummaryLayout(horizon=H, d_x=d_x, d_a=d_a)
-    by_hand = (H + 1) * d_x + H * d_a + H * d_x * d_x + H * d_x * d_a + H * d_a + (H + 1) * d_x
-    assert layout.size == by_hand == 40
-    slices = layout.slices()
-    covered = sorted((s.start, s.stop) for s in slices.values())
-    assert covered[0][0] == 0 and covered[-1][1] == layout.size
-    for (_, stop), (start, _) in zip(covered, covered[1:]):
-        assert stop == start
-
-
-def test_layout_validation():
-    with pytest.raises(ValueError):
-        SummaryLayout(horizon=0, d_x=1, d_a=0)
-    with pytest.raises(ValueError):
-        SummaryLayout(horizon=1, d_x=0, d_a=0)
-    with pytest.raises(ValueError):
-        SummaryLayout(horizon=1, d_x=1, d_a=-1)
+    # H = 10 transitions: 11 means, 10 lag weights, 11 stds.
+    x = np.random.default_rng(2).standard_normal((5, 11, 1))
+    summary = summarize(Dataset(states=x))
+    assert summary.shape == (11 + 10 + 11,)
+    np.testing.assert_allclose(summary[:11], x[:, :, 0].mean(axis=0), rtol=1e-13)
+    np.testing.assert_allclose(summary[21:], x[:, :, 0].std(axis=0), rtol=1e-13)
 
 
 def test_flatten_order_is_blockwise_time_major():
-    fit = _random_fit(np.random.default_rng(1), H=2, d_x=1, d_a=1)
-    v = flatten(fit).values
+    data = Dataset(states=np.random.default_rng(1).standard_normal((7, 3, 1)))
+    fit = fit_mle(data)
+    v = summarize(data)
     np.testing.assert_array_equal(v[0:3], fit.mu_x.ravel())
-    np.testing.assert_array_equal(v[3:5], fit.mu_a.ravel())
-    np.testing.assert_array_equal(v[5:7], fit.psi_x.ravel())
-    np.testing.assert_array_equal(v[7:9], fit.psi_a.ravel())
-    np.testing.assert_array_equal(v[9:11], fit.sigma.ravel())
-    np.testing.assert_array_equal(v[11:14], fit.v_x.ravel())
-    # The layout's slices name the same blocks in the same order.
-    slices = fit.layout.slices()
-    assert list(slices) == ["mu_x", "mu_a", "psi_x", "psi_a", "sigma", "v_x"]
-    for name, part in slices.items():
-        np.testing.assert_array_equal(v[part], getattr(fit, name).ravel())
+    np.testing.assert_array_equal(v[3:5], fit.psi_x.ravel())
+    np.testing.assert_array_equal(v[5:8], fit.v_x.ravel())
 
 
 def test_summary_statistics_validation():
-    layout = SummaryLayout(horizon=2, d_x=1, d_a=0)
-    with pytest.raises(ValueError):
-        SummaryStatistics(values=np.zeros(layout.size + 1), layout=layout)
+    with pytest.raises(ValueError, match="at least 2 trajectories"):
+        summarize(Dataset(states=np.zeros((1, 3, 1))))
+    with pytest.raises(ValueError, match="one observed state"):
+        summarize(Dataset(states=np.zeros((4, 3, 2))))
 
 
 def test_fit_shapes_and_dispatch_consistency():
@@ -85,9 +49,8 @@ def test_fit_shapes_and_dispatch_consistency():
     fit = fit_mle(data)
     assert fit.mu_x.shape == (5, 1)
     assert fit.psi_x.shape == (4, 1, 1)
-    assert fit.layout == SummaryLayout(horizon=4, d_x=1, d_a=0)
-    summary = summarize(data)
-    np.testing.assert_array_equal(summary.values, flatten(fit).values)
+    assert fit.psi_a.shape == (4, 1, 0)
+    assert summarize(data).shape == (3 * 4 + 2,)
 
 
 def test_fit_requires_two_trajectories():

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import AbsoluteObjective, ScaledReplicateObjective, ToyNormalObjective
+from helpers import (
+    AbsoluteObjective,
+    RaggedReplicateObjective,
+    ScaledReplicateObjective,
+    ToyNormalObjective,
+)
 from hybridabc import rng as rng_mod
 from hybridabc.model import Dataset, ErythroblastModel, Prior, erythroblast_prior, generate_dataset
 from hybridabc.smc import (
@@ -288,7 +293,7 @@ def test_posterior_summaries():
     assert posterior.weighted_std()[0] == pytest.approx(math.sqrt(0.5))
     assert posterior.weight_within(0, 1.0, 0.5) == pytest.approx(0.5)
     assert posterior.weight_within(0, 1.0, 1.0) == pytest.approx(1.0)
-    idx = posterior.sample_indices(np.random.default_rng(0), 4000, weighted=True)
+    idx = posterior.sample_indices(np.random.default_rng(0), 4000)
     freqs = np.bincount(idx, minlength=3) / 4000
     np.testing.assert_allclose(freqs, weights, atol=0.04)
 
@@ -302,16 +307,15 @@ def test_build_objective_validation_and_accounting():
     assert isinstance(aux, AuxiliaryObjective)
     assert isinstance(naive, NaiveObjective)
     assert aux.calls_per_evaluation == naive.calls_per_evaluation == 12
-    assert naive.variant == "trajectory-energy"
-    assert naive.replicates == 4
-    mean_curve = build_objective(model, observed, "naive", sim_replicates=4, naive_variant="mean-curve")
-    assert mean_curve.replicates == 1
+    # H = 10 transitions of one state: a (32,) summary, and a weight with
+    # one row per component a fixed start leaves free (all but mu_0, psi_0
+    # and v_0).
+    assert aux.observed_summary.shape == (32,)
+    assert aux.weight.shape == (29, 32)
     with pytest.raises(ValueError):
         build_objective(model, observed, "other", sim_replicates=4)
     with pytest.raises(ValueError):
         build_objective(model, observed, "auxiliary", sim_replicates=0)
-    with pytest.raises(ValueError, match="naive variant"):
-        build_objective(model, observed, "naive", sim_replicates=4, naive_variant="pairwise")
 
 
 def test_objectives_are_deterministic_given_the_stream():
@@ -373,12 +377,18 @@ def test_single_replicate_arrays_match_scalar_distances():
     np.testing.assert_array_equal(scalar.weights, one.weights)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_width_must_not_change_within_a_run(workers):
+    with pytest.raises(ValueError):
+        run_abc_smc(TOY_PRIOR, RaggedReplicateObjective(), _toy_settings(), seed=3, workers=workers)
+
+
 def test_replicate_runs_do_not_depend_on_worker_count():
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=8)
     objective = build_objective(model, observed, "naive", sim_replicates=3)
-    assert objective.replicates == 3
+    assert objective(theta, rng_mod.substream(1, 0)).shape == (3,)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.2, max_generations=3)
     prior = erythroblast_prior()
     serial = run_abc_smc(prior, objective, settings, seed=6, workers=1)
