@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Dataset, ErythroblastModel, Prior, generate_dataset
+from .model import ErythroblastModel, Prior, generate_dataset
 from .rng import (
     STREAM_OBSERVED,
     STREAM_POSTERIOR_PREDICTIVE,

@@ -15,41 +15,51 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _logistic(u: np.ndarray) -> np.ndarray:
-    # Stable on both tails without branching: for u below about -709 the
-    # exponential overflows to inf and the quotient is exactly 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-u))
-
-
-def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
+def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None):
     """Vectorized growth-inhibition recurrence over a batch of paths.
 
-    All four kinetic parameters are (n,) arrays so that every path may carry
-    its own parameter draw; broadcast shared values with ``np.full`` first.
-    ``eps`` holds the pre-scaled Gaussian shocks with shape (n, steps, 2)
-    where the last axis is (density shock, inhibitor shock). Returns states
-    (n, steps + 1, 2).
+    Each of the four kinetic parameters is a scalar shared by every path or
+    an (n,) array giving each path its own parameter draw.
+    ``eps`` holds the pre-scaled Gaussian shocks indexed (path, step,
+    channel), the channels being (density shock, inhibitor shock); a
+    transposed view of a step-major (steps, 2, n) buffer is read without a
+    copy. The states are written step-major into ``out`` (steps + 1, 2, n),
+    allocated when None, and returned as its (n, steps + 1, 2) view.
     """
     n, n_steps, _ = eps.shape
     # Step-major buffers keep every per-step read and write contiguous.
     shocks = np.ascontiguousarray(eps.transpose(1, 2, 0))
-    out = np.empty((n_steps + 1, 2, n))
+    if out is None:
+        out = np.empty((n_steps + 1, 2, n))
     growth = dt * r_g
     retained = 1.0 - dt * r_d
-    rho = np.full(n, float(init_rho))
-    inh = np.full(n, float(init_inh))
-    out[0, 0] = rho
-    out[0, 1] = inh
-    for t in range(n_steps):
-        f = _logistic(k_s * (k_c - inh))
-        rho_next = rho + growth * rho * f + shocks[t, 0]
-        # I + dt ((rho' - rho) / dt - r_d I), with the dt factors cancelled.
-        inh = retained * inh + (rho_next - rho) + shocks[t, 1]
-        rho = rho_next
-        out[t + 1, 0] = rho
-        out[t + 1, 1] = inh
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+    gate = np.empty(n)
+    step = np.empty(n)
+    out[0, 0] = init_rho
+    out[0, 1] = init_inh
+    # The gate 1 / (1 + exp(k_s (I - k_c))) is the logistic of k_s (k_c - I),
+    # exactly. Far past the threshold the exponential overflows to inf and
+    # the gate is exactly 0; below it, it underflows to 0 and the gate is 1.
+    # Overflow elsewhere makes a state non-finite, which callers check.
+    with np.errstate(over="ignore", under="ignore"):
+        for t in range(n_steps):
+            rho, inh = out[t]
+            rho_next, inh_next = out[t + 1]
+            np.subtract(inh, k_c, out=gate)
+            gate *= k_s
+            np.exp(gate, out=gate)
+            gate += 1.0
+            np.divide(1.0, gate, out=gate)
+            np.multiply(growth, rho, out=step)
+            step *= gate
+            np.add(rho, step, out=rho_next)
+            rho_next += shocks[t, 0]
+            # I + dt ((rho' - rho) / dt - r_d I), with the dt factors cancelled.
+            np.subtract(rho_next, rho, out=step)
+            np.multiply(retained, inh, out=inh_next)
+            inh_next += step
+            inh_next += shocks[t, 1]
+    return out.transpose(2, 0, 1)
 
 
 def aux_summary_1d(x: np.ndarray) -> np.ndarray:

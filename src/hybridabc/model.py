@@ -153,27 +153,43 @@ class ErythroblastModel:
             raise ValueError("shock stds must be non-negative")
         return theta
 
-    def simulate_paths(self, theta, n: int, rng) -> np.ndarray:
+    def workspace(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Buffers ``simulate_paths`` can reuse from call to call for ``n`` paths.
+
+        They hold the standard normals, the scaled shocks and the states.
+        """
+        H = self.horizon
+        return np.empty((n, H, 2)), np.empty((H, 2, n)), np.empty((H + 1, 2, n))
+
+    def simulate_paths(self, theta, n: int, rng, workspace=None) -> np.ndarray:
         """Simulate ``n`` full paths under one parameter vector.
 
-        Returns states of shape (n, horizon + 1, 2) with columns (rho, I).
+        Returns states of shape (n, horizon + 1, 2) with columns (rho, I):
+        a fresh C-contiguous array, or, given a ``workspace`` from
+        ``self.workspace(n)``, a view of its step-major buffer that the next
+        call overwrites. Reusing one workspace spares a process the page
+        faults of allocating and freeing these arrays on every call.
         Raises SimulationError if any state becomes non-finite.
         """
         theta = self._check_theta(theta)
         rng = normalize_rng(rng)
-        eps = rng.standard_normal((n, self.horizon, 2)) * theta[4:6]
+        draws, shocks, states = workspace or self.workspace(n)
+        if draws.shape[0] != n:
+            raise ValueError(f"the workspace holds {draws.shape[0]} paths, not {n}")
+        rng.standard_normal(draws.shape, out=draws)
+        # Scaling after the step-major transpose runs each multiply along a
+        # whole row of paths instead of over the two shock channels.
+        np.multiply(draws.transpose(1, 2, 0), theta[4:6, None], out=shocks)
         out = kernels.simulate_paths_raw(
-            np.full(n, theta[0]),
-            np.full(n, theta[1]),
-            np.full(n, theta[2]),
-            np.full(n, theta[3]),
+            *theta[:4],
             self.dt,
             self.init_rho,
             self.init_inh,
-            eps,
+            shocks.transpose(2, 0, 1),
+            out=states,
         )
         _raise_on_nonfinite(out)
-        return out
+        return out if workspace else np.ascontiguousarray(out)
 
     def simulate_paths_multi(self, thetas, rng) -> np.ndarray:
         """Simulate one full path per row of ``thetas`` (shape (n, 6))."""

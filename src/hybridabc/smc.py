@@ -457,8 +457,31 @@ def run_abc_smc(
     )
 
 
+class _PathObjective:
+    """Simulation shared by the objectives: ``n_paths`` paths per call.
+
+    Each process simulates in one workspace of its own, made on first use
+    and reused from call to call; it is left out of pickles, so the
+    objective sent to pool workers stays small.
+    """
+
+    def _simulate(self, theta, rng) -> np.ndarray:
+        workspace = self.__dict__.get("_workspace")
+        if workspace is None:
+            workspace = self.model.workspace(self.n_paths)
+            object.__setattr__(self, "_workspace", workspace)
+        return self.model.simulate_paths(theta, self.n_paths, rng, workspace)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_workspace"}
+
+    @property
+    def calls_per_evaluation(self) -> int:
+        return self.n_paths
+
+
 @dataclass(frozen=True, eq=False)
-class AuxiliaryObjective:
+class AuxiliaryObjective(_PathObjective):
     """Information-weighted distance between fitted summaries."""
 
     model: object
@@ -466,30 +489,24 @@ class AuxiliaryObjective:
     observed_summary: np.ndarray
     weight: np.ndarray
 
-    @property
-    def calls_per_evaluation(self) -> int:
-        return self.n_paths
-
     def __call__(self, theta, rng) -> float:
-        states = self.model.simulate_paths(theta, self.n_paths, rng)
+        states = self._simulate(theta, rng)
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
         return auxiliary_distance(self.observed_summary, summarize(simulated), self.weight)
 
 
 @dataclass(frozen=True, eq=False)
-class NaiveObjective:
+class NaiveObjective(_PathObjective):
     """Energy distances between the observed and each batch of simulated paths."""
 
     model: object
     n_paths: int
     observed: Dataset
 
-    @property
-    def calls_per_evaluation(self) -> int:
-        return self.n_paths
-
     def __call__(self, theta, rng) -> np.ndarray:
-        states = self.model.simulate_paths(theta, self.n_paths, rng)
+        # naive_distance's results depend on the memory layout of its input,
+        # so it gets the C-contiguous (n, H + 1, 2) array it has always had.
+        states = np.ascontiguousarray(self._simulate(theta, rng))
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
         return naive_distance(self.observed, simulated)
 

@@ -16,7 +16,7 @@ import hybridabc
 from hybridabc import io
 from hybridabc.cli import main
 from hybridabc.config import PRESETS, ConfigError, build_config, load_config
-from hybridabc.model import Dataset, generate_dataset
+from hybridabc.model import generate_dataset
 from hybridabc.smc import GenerationRecord, SmcSettings, run_abc_smc
 
 TINY_ENGINE = textwrap.dedent(

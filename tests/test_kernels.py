@@ -44,15 +44,57 @@ def test_summary_constant_column_regresses_to_zero():
     assert eta[2 * T - 1 + 1] == 0.0  # its spread
 
 
+def _reference_recurrence(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
+    """The recurrence with the gate written as the logistic of k_s (k_c - I)."""
+    n, steps, _ = eps.shape
+    out = np.empty((n, steps + 1, 2))
+    growth = dt * r_g
+    retained = 1.0 - dt * r_d
+    rho = np.full(n, float(init_rho))
+    inh = np.full(n, float(init_inh))
+    out[:, 0, 0] = rho
+    out[:, 0, 1] = inh
+    for t in range(steps):
+        u = k_s * (k_c - inh)
+        with np.errstate(over="ignore", under="ignore"):
+            f = 1.0 / (1.0 + np.exp(-u))
+        rho_next = rho + growth * rho * f + eps[:, t, 0]
+        inh = retained * inh + (rho_next - rho) + eps[:, t, 1]
+        rho = rho_next
+        out[:, t + 1, 0] = rho
+        out[:, t + 1, 1] = inh
+    return out
+
+
+def test_simulation_matches_reference_recurrence_bit_for_bit():
+    r_g, k_s, k_c, r_d, eps = _simulation_inputs(7)
+    # One inhibitor shock large enough that the gate's exponential
+    # overflows, next to the underflows the other paths already reach.
+    k_s[0] = 5.0
+    eps[0, 0, 1] = 500.0
+    with np.errstate(all="raise"):
+        out = kernels.simulate_paths_raw(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps)
+    expected = _reference_recurrence(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps)
+    assert np.isfinite(out).all()
+    np.testing.assert_array_equal(out, expected)
+
+
 def test_logistic_tails_are_saturated_and_finite():
-    u = np.array([-800.0, -40.0, 0.0, 40.0, 800.0])
-    out = kernels._logistic(u)
-    assert np.all(np.isfinite(out))
-    assert out[0] == 0.0
-    assert out[2] == 0.5
-    assert out[4] == 1.0
-    assert 0.0 < out[1] < 1e-15
-    assert 1.0 - out[3] < 1e-15
+    # One step from rho = 1 with dt r_g = 1 and no shocks gives rho' = 1 + f,
+    # with the gate f the logistic of k_c at k_s = 1 and I = 0. At k_c = -30
+    # and 30 the gate is about 9e-14 from 0 and from 1, still visible in
+    # 1 + f; at -800 and 800 it is exactly 0 and 1.
+    k_c = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
+    ones = np.ones(5)
+    with np.errstate(all="raise"):
+        out = kernels.simulate_paths_raw(
+            ones, ones, k_c, 0.0 * ones, 1.0, 1.0, 0.0, np.zeros((5, 1, 2))
+        )
+    rho = out[:, 1, 0]
+    assert np.isfinite(rho).all()
+    assert rho[0] == 1.0 and rho[2] == 1.5 and rho[4] == 2.0
+    assert 0.0 < rho[1] - 1.0 < 1e-12
+    assert 0.0 < 2.0 - rho[3] < 1e-12
 
 
 def test_dispatchers_report_active_backend():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import reference_trajectory
+from hybridabc import kernels
 from hybridabc import rng as rng_mod
 from hybridabc.model import (
     TRUE_KINETICS,
@@ -55,6 +56,28 @@ def test_multi_theta_rows_match_single_theta_batches():
     a = model.simulate_paths(theta, 4, rng_mod.substream(7, 1))
     b = model.simulate_paths_multi(thetas, rng_mod.substream(7, 1))
     np.testing.assert_array_equal(a, b)
+
+
+def test_paths_are_the_kernel_on_path_major_shocks_bit_for_bit():
+    # The model scales its shocks after the step-major transpose and passes
+    # the kinetics as scalars; that is the kernel fed path-major shocks
+    # draws * theta[4:6] and per-path parameter arrays, to the last bit,
+    # whether the model allocates its arrays or reuses a workspace.
+    theta = np.array([0.1, 2.0, 3.0, 0.01, 0.05, 0.08])
+    n = 300
+    model = ErythroblastModel()
+    workspace = model.workspace(n)
+    for seed in (4, 5):  # the second call reuses the first call's buffers
+        fresh = model.simulate_paths(theta, n, rng_mod.substream(seed, 2))
+        reused = model.simulate_paths(theta, n, rng_mod.substream(seed, 2), workspace)
+        eps = rng_mod.substream(seed, 2).standard_normal((n, 10, 2)) * theta[4:6]
+        kinetics = [np.full(n, value) for value in theta[:4]]
+        expected = kernels.simulate_paths_raw(*kinetics, 3.0, 3.0, 0.0, eps)
+        assert fresh.flags.c_contiguous
+        np.testing.assert_array_equal(fresh, expected)
+        np.testing.assert_array_equal(reused, expected)
+    with pytest.raises(ValueError, match="holds 300 paths"):
+        model.simulate_paths(theta, 200, 1, workspace)
 
 
 def test_inhibitor_integrates_density_increments_without_decay():

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +11,15 @@ from helpers import (
     ToyNormalObjective,
 )
 from hybridabc import rng as rng_mod
-from hybridabc.model import Dataset, ErythroblastModel, Prior, erythroblast_prior, generate_dataset
+from hybridabc.distance import auxiliary_distance, naive_distance
+from hybridabc.lgdbn import summarize
+from hybridabc.model import (
+    Dataset,
+    ErythroblastModel,
+    Prior,
+    erythroblast_prior,
+    generate_dataset,
+)
 from hybridabc.smc import (
     AuxiliaryObjective,
     NaiveObjective,
@@ -18,6 +27,7 @@ from hybridabc.smc import (
     Population,
     PosteriorApproximation,
     SmcSettings,
+    _evaluate_chunk,
     adapt_kernel,
     adapt_tolerance,
     build_objective,
@@ -331,6 +341,37 @@ def test_objectives_are_deterministic_given_the_stream():
         assert not np.array_equal(d1, d3)
         assert np.shape(d1) == ((2,) if method == "naive" else ())
         assert np.all(np.asarray(d1) >= 0.0) and np.isfinite(d1).all()
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_one_chunk_matches_one_slot_chunks(method):
+    # One objective reuses its workspace over a chunk of 7 particles; each
+    # particle still scores what its own fresh C-contiguous simulation does.
+    # With 20 observed paths naive_distance reads a strided view of the
+    # workspace differently from a contiguous copy.
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = build_objective(model, observed, method, sim_replicates=5)
+    prior = erythroblast_prior()
+    thetas = np.random.default_rng(6).uniform(prior.lows, prior.highs, (7, 6))
+    slots = np.arange(10, 17)
+    chunk = _evaluate_chunk(objective, 3, 2, slots, thetas)
+    singles = []
+    for slot, theta_i in zip(slots, thetas):
+        rng = rng_mod.substream(3, rng_mod.STREAM_SIMULATION, 2, slot)
+        states = model.simulate_paths(theta_i, objective.n_paths, rng)
+        simulated = Dataset(states=states[:, :, :1], dt=model.dt)
+        if method == "naive":
+            singles.append(naive_distance(observed, simulated))
+        else:
+            eta = summarize(simulated)
+            singles.append([auxiliary_distance(objective.observed_summary, eta, objective.weight)])
+    assert chunk.shape == ((7, 5) if method == "naive" else (7, 1))
+    np.testing.assert_array_equal(chunk, np.array(singles))
+    # The workspace stays behind when the objective goes to a pool worker.
+    assert "_workspace" in vars(objective)
+    assert "_workspace" not in vars(pickle.loads(pickle.dumps(objective)))
 
 
 def test_run_inference_counts_simulator_calls():
