@@ -89,6 +89,8 @@ def main(argv=None) -> int:
 
 
 def _load(args) -> tuple[ExperimentConfig, int, dict]:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("seed", f"must be non-negative, got {args.seed}")
     cfg = load_config(args.config, preset=args.preset)
     seed = cfg.seed if args.seed is None else args.seed
     echo = copy.deepcopy(cfg.raw)
@@ -246,8 +248,10 @@ def cmd_experiment(args) -> int:
             ks_rows.extend(cell.ks_summary())
             ratio_rows.append(cell.ratio_summary())
 
-    io.write_ks_table(out_dir / "ks_table.csv", ks_rows, echo)
-    io.write_ratio_table(out_dir / "ratio_table.csv", ratio_rows, echo)
+    io.write_grid_table(out_dir / "ks_table.csv", "ks-table", evaluate.KS_COLUMNS, ks_rows, echo)
+    io.write_grid_table(
+        out_dir / "ratio_table.csv", "ratio-table", evaluate.RATIO_COLUMNS, ratio_rows, echo
+    )
     _say(args, f"wrote {out_dir / 'ks_table.csv'} and {out_dir / 'ratio_table.csv'}")
     if failed:
         print(f"{len(failed)} cell(s) failed: {[f[0] for f in failed]}", file=sys.stderr)

@@ -95,11 +95,16 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    """An int or a float; YAML booleans are ints to Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _expect(mapping: dict, key: str, kind, path: str):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}" if path else key, "missing")
     value = mapping[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    if kind is float and _is_number(value):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(
@@ -192,14 +197,13 @@ def _validate(cfg: dict) -> ExperimentConfig:
     for name in PARAM_NAMES:
         if name not in true_values:
             raise ConfigError(f"model.true_values.{name}", "missing")
-        value = true_values[name]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(true_values[name]):
             raise ConfigError(f"model.true_values.{name}", "expected a number")
     for name in true_values:
         if name not in PARAM_NAMES:
             raise ConfigError(f"model.true_values.{name}", "unknown parameter")
     init = _expect(model, "init", list, "model")
-    if len(init) != 2 or not all(isinstance(v, (int, float)) for v in init):
+    if len(init) != 2 or not all(_is_number(v) for v in init):
         raise ConfigError("model.init", "expected two numbers (density, inhibitor)")
     dt = _expect(model, "dt", float, "model")
     if dt <= 0:
@@ -224,7 +228,7 @@ def _validate(cfg: dict) -> ExperimentConfig:
         if (
             not isinstance(bounds, list)
             or len(bounds) != 2
-            or not all(isinstance(v, (int, float)) for v in bounds)
+            or not all(_is_number(v) for v in bounds)
         ):
             raise ConfigError(f"prior.{name}", "expected [low, high]")
         if not bounds[0] < bounds[1]:
@@ -273,9 +277,7 @@ def _validate(cfg: dict) -> ExperimentConfig:
         "experiment",
     )
     noise_levels = _expect(experiment, "noise_levels", list, "experiment")
-    if not noise_levels or not all(
-        isinstance(v, (int, float)) and 0 <= v for v in noise_levels
-    ):
+    if not noise_levels or not all(_is_number(v) and v >= 0 for v in noise_levels):
         raise ConfigError("experiment.noise_levels", "expected non-negative numbers")
     batch_sizes = _expect(experiment, "batch_sizes", list, "experiment")
     # The auxiliary information weight needs a non-zero residual variance,

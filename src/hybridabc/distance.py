@@ -99,20 +99,16 @@ def information_weight(observed: np.ndarray, n_trajectories: int) -> np.ndarray:
     return np.vstack([start_mean, mean, lag, start_spread, spread])
 
 
-def auxiliary_distance(
-    observed: np.ndarray, simulated: np.ndarray, weight: np.ndarray | None = None
-) -> float:
-    """Euclidean norm of the summary difference, mapped by ``weight`` if given.
+def auxiliary_distance(observed: np.ndarray, simulated: np.ndarray, weight: np.ndarray) -> float:
+    """Euclidean norm of the summary difference mapped by ``weight``.
 
     ``weight`` is a (k, n) matrix applied to the length-n difference.
     """
     if observed.shape != simulated.shape:
         raise ValueError(f"summary shapes differ: {observed.shape} vs {simulated.shape}")
-    diff = observed - simulated
-    if weight is not None:
-        if weight.shape[1] != diff.shape[0]:
-            raise ValueError("weight width does not match the summary length")
-        diff = weight @ diff
+    if weight.shape[1] != observed.shape[0]:
+        raise ValueError("weight width does not match the summary length")
+    diff = weight @ (observed - simulated)
     return float(np.sqrt(np.dot(diff, diff)))
 
 

@@ -31,28 +31,10 @@ from .smc import PosteriorApproximation, SmcSettings, run_inference
 
 METHODS = ("auxiliary", "naive")
 
-
-@dataclass(frozen=True, eq=False)
-class PredictiveSample:
-    """Simulated (density, inhibitor) values at one target time step."""
-
-    values: np.ndarray
-    source: str
-    target_t: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 2 or values.shape[1] != 2:
-            raise ValueError("values must have shape (n, 2)")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def rho(self) -> np.ndarray:
-        return self.values[:, 0]
-
-    @property
-    def inhibitor(self) -> np.ndarray:
-        return self.values[:, 1]
+#: Columns of the grid tables in file order: the keys of each
+#: ``CellResult.ks_summary`` row and of ``CellResult.ratio_summary``.
+KS_COLUMNS = ("method", "state", "v", "m", "ks_mean", "ks_ci_halfwidth", "replications")
+RATIO_COLUMNS = ("v", "m", "ratio_mean", "ratio_ci_halfwidth", "replications")
 
 
 def _target_row(model: ErythroblastModel, target_t: int) -> int:
@@ -65,37 +47,28 @@ def _target_row(model: ErythroblastModel, target_t: int) -> int:
     return target_t - 1
 
 
-def predictive_from_thetas(
-    thetas: np.ndarray, model: ErythroblastModel, target_t: int, rng
-) -> np.ndarray:
-    """One fresh path per parameter row; full state at the target step."""
-    row = _target_row(model, target_t)
-    states = model.simulate_paths_multi(thetas, rng)
-    return states[:, row, :]
-
-
 def sample_posterior_predictive(
     posterior: PosteriorApproximation,
     model: ErythroblastModel,
     target_t: int,
     n_samples: int,
     rng,
-) -> PredictiveSample:
-    """Posterior predictive at the target step, parameters drawn by weight."""
+) -> np.ndarray:
+    """Posterior predictive (density, inhibitor) pairs at the target step.
+
+    Parameters are drawn by weight, and each draw gets one fresh path.
+    """
+    row = _target_row(model, target_t)
     idx = posterior.sample_indices(rng, n_samples)
-    values = predictive_from_thetas(posterior.thetas[idx], model, target_t, rng)
-    return PredictiveSample(values=values, source="posterior", target_t=target_t)
+    return model.simulate_paths_multi(posterior.thetas[idx], rng)[:, row, :]
 
 
 def sample_true_predictive(
     theta_true: np.ndarray, model: ErythroblastModel, target_t: int, n_samples: int, rng
-) -> PredictiveSample:
-    """Predictive under the data-generating parameters."""
+) -> np.ndarray:
+    """Predictive (density, inhibitor) pairs under the data-generating parameters."""
     row = _target_row(model, target_t)
-    states = model.simulate_paths(theta_true, n_samples, rng)
-    return PredictiveSample(
-        values=states[:, row, :], source="true-model", target_t=target_t
-    )
+    return model.simulate_paths(theta_true, n_samples, rng)[:, row, :]
 
 
 def ks_statistic(a, b) -> float:
@@ -133,6 +106,8 @@ class ReplicationRecord:
     ks_rho: float
     ks_inh: float
     runtime_s: float
+    #: naive over auxiliary wall time of this replication
+    ratio: float
     generations: int
     simulator_calls: int
 
@@ -144,12 +119,16 @@ class CellResult:
     noise: float
     batches: int
     records: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
     predictive: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
 
     def method_records(self, method: str) -> list:
         return [r for r in self.records if r.method == method]
+
+    @property
+    def ratios(self) -> list[float]:
+        """Naive over auxiliary wall time, one per completed replication."""
+        return [r.ratio for r in self.method_records("auxiliary")]
 
     def ks_summary(self) -> list[dict]:
         """CI rows per (method, state)."""
@@ -160,28 +139,14 @@ class CellResult:
                 continue
             for state, attr in (("rho", "ks_rho"), ("I", "ks_inh")):
                 mean, half = confidence_interval([getattr(r, attr) for r in records])
-                rows.append(
-                    {
-                        "method": method,
-                        "state": state,
-                        "v": self.noise,
-                        "m": self.batches,
-                        "ks_mean": mean,
-                        "ks_ci_halfwidth": half,
-                        "replications": len(records),
-                    }
-                )
+                values = (method, state, self.noise, self.batches, mean, half, len(records))
+                rows.append(dict(zip(KS_COLUMNS, values)))
         return rows
 
     def ratio_summary(self) -> dict:
-        mean, half = confidence_interval(self.ratios) if self.ratios else (float("nan"), float("nan"))
-        return {
-            "v": self.noise,
-            "m": self.batches,
-            "ratio_mean": mean,
-            "ratio_ci_halfwidth": half,
-            "replications": len(self.ratios),
-        }
+        ratios = self.ratios
+        mean, half = confidence_interval(ratios) if ratios else (float("nan"), float("nan"))
+        return dict(zip(RATIO_COLUMNS, (self.noise, self.batches, mean, half, len(ratios))))
 
 
 def run_replication(
@@ -220,7 +185,7 @@ def run_replication(
         substream(rep_seed, STREAM_TRUE_PREDICTIVE),
     )
     records = {}
-    predictive = {"true-model": true_pred.values}
+    predictive = {"true-model": true_pred}
     for method in METHODS:
         method_progress = (lambda rec, m=method: progress(m, rec)) if progress else None
         t0 = time.perf_counter()
@@ -246,10 +211,10 @@ def run_replication(
         records[method] = {
             "posterior": posterior,
             "runtime_s": runtime,
-            "ks_rho": ks_statistic(post_pred.rho, true_pred.rho),
-            "ks_inh": ks_statistic(post_pred.inhibitor, true_pred.inhibitor),
+            "ks_rho": ks_statistic(post_pred[:, 0], true_pred[:, 0]),
+            "ks_inh": ks_statistic(post_pred[:, 1], true_pred[:, 1]),
         }
-        predictive[f"posterior-{method}"] = post_pred.values
+        predictive[f"posterior-{method}"] = post_pred
     return records, predictive
 
 
@@ -296,6 +261,7 @@ def run_cell(
         except Exception as exc:  # noqa: BLE001 - isolate replication failures
             result.failures.append((r, repr(exc)))
             continue
+        ratio = records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
         for method in METHODS:
             rec = records[method]
             result.records.append(
@@ -306,13 +272,11 @@ def run_cell(
                     ks_rho=rec["ks_rho"],
                     ks_inh=rec["ks_inh"],
                     runtime_s=rec["runtime_s"],
+                    ratio=ratio,
                     generations=rec["posterior"].generations,
                     simulator_calls=rec["posterior"].simulator_calls,
                 )
             )
-        result.ratios.append(
-            records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
-        )
         if r == 0:
             result.predictive = predictive
         if on_replication is not None:

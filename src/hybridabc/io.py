@@ -115,6 +115,8 @@ def read_dataset(path) -> Dataset:
         i, t, value = int(row[0]), int(row[1]), float(row[2])
         if not (0 <= i < m and 0 <= t <= horizon):
             raise ValueError(f"{path}: row ({i}, {t}) outside the declared shape")
+        if not np.isnan(states[i, t, 0]):
+            raise ValueError(f"{path}: row ({i}, {t}) appears more than once")
         states[i, t, 0] = value
     if np.isnan(states).any():
         raise ValueError(f"{path}: missing rows for the declared shape")
@@ -155,12 +157,6 @@ def write_replications(path, cell, config_echo: dict) -> None:
     Replications that failed have no rows; the ``failures`` header holds
     them as a JSON list of ``[replication, repr of the exception]`` pairs.
     """
-    ratio_by_rep = {}
-    aux = {r.replication: r for r in cell.method_records("auxiliary")}
-    naive = {r.replication: r for r in cell.method_records("naive")}
-    for rep in aux:
-        if rep in naive and aux[rep].runtime_s > 0:
-            ratio_by_rep[rep] = naive[rep].runtime_s / aux[rep].runtime_s
     rows = [
         (
             rec.method,
@@ -169,7 +165,7 @@ def write_replications(path, cell, config_echo: dict) -> None:
             rec.ks_rho,
             rec.ks_inh,
             rec.runtime_s,
-            ratio_by_rep.get(rec.replication, float("nan")),
+            rec.ratio,
             rec.replication,
             rec.seed,
             rec.generations,
@@ -199,38 +195,9 @@ def write_replications(path, cell, config_echo: dict) -> None:
     )
 
 
-def write_ks_table(path, rows, config_echo: dict) -> None:
-    write_table(
-        path,
-        "ks-table",
-        config_echo,
-        ["method", "state", "v", "m", "ks_mean", "ks_ci_halfwidth", "replications"],
-        [
-            (
-                r["method"],
-                r["state"],
-                r["v"],
-                r["m"],
-                r["ks_mean"],
-                r["ks_ci_halfwidth"],
-                r["replications"],
-            )
-            for r in rows
-        ],
-    )
-
-
-def write_ratio_table(path, rows, config_echo: dict) -> None:
-    write_table(
-        path,
-        "ratio-table",
-        config_echo,
-        ["v", "m", "ratio_mean", "ratio_ci_halfwidth", "replications"],
-        [
-            (r["v"], r["m"], r["ratio_mean"], r["ratio_ci_halfwidth"], r["replications"])
-            for r in rows
-        ],
-    )
+def write_grid_table(path, kind: str, columns, rows, config_echo: dict) -> None:
+    """One row per cell summary (a dict), its ``columns`` values in order."""
+    write_table(path, kind, config_echo, columns, [[r[c] for c in columns] for r in rows])
 
 
 def write_predictive(path, predictive: dict, target_t: int, config_echo: dict) -> None:

@@ -40,8 +40,9 @@ def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None
     # The gate 1 / (1 + exp(k_s (I - k_c))) is the logistic of k_s (k_c - I),
     # exactly. Far past the threshold the exponential overflows to inf and
     # the gate is exactly 0; below it, it underflows to 0 and the gate is 1.
-    # Overflow elsewhere makes a state non-finite, which callers check.
-    with np.errstate(over="ignore", under="ignore"):
+    # Overflow elsewhere makes a state non-finite, and inf - inf or 0 * inf
+    # then give nan; callers check for both.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for t in range(n_steps):
             rho, inh = out[t]
             rho_next, inh_next = out[t + 1]

@@ -78,15 +78,6 @@ class Prior:
         return float(1.0 / np.prod(self.highs - self.lows))
 
 
-def erythroblast_prior() -> Prior:
-    """Default box prior for the growth-inhibition model."""
-    return Prior(
-        names=PARAM_NAMES,
-        lows=np.zeros(6),
-        highs=np.array([0.5, 5.0, 5.0, 0.05, 0.2, 0.2]),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Homogeneous batch of observed trajectories, stored stacked.

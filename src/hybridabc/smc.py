@@ -125,10 +125,6 @@ class PerturbationKernel:
     def dim(self) -> int:
         return self.covariance.shape[0]
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self._chol is None
-
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         if self._chol is None:
             return np.zeros(self.dim)
@@ -159,8 +155,6 @@ class PosteriorApproximation:
     generations: int
     stopped_by: str
     wall_time_s: float
-    n_target_retained: int
-    seed: int
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
@@ -207,11 +201,6 @@ def adapt_tolerance(distances: np.ndarray, alpha: float) -> float:
         raise ValueError("alpha must lie strictly between 0 and 1")
     k = math.ceil(alpha * distances.size)
     return float(np.partition(distances, k - 1)[k - 1])
-
-
-def resample_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probability proportional to its weight."""
-    return int(resample_indices(weights, rng, 1)[0])
 
 
 def resample_indices(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -396,7 +385,7 @@ def run_abc_smc(
             for j in range(n_new):
                 slot = n_keep + j
                 prop_rng = substream(seed, STREAM_PROPOSAL, gen_index, slot)
-                star = population.thetas[resample_index(population.weights, prop_rng)]
+                star = population.thetas[resample_indices(population.weights, prop_rng, 1)[0]]
                 new_thetas[j] = perturb(star, kernel, prior, prop_rng)
             new_reps = _evaluate(
                 objective, seed, gen_index, range(n_keep, N), new_thetas, executor, workers
@@ -452,8 +441,6 @@ def run_abc_smc(
         generations=population.generation,
         stopped_by=stopped_by,
         wall_time_s=time.perf_counter() - t0,
-        n_target_retained=n_keep,
-        seed=int(seed),
     )
 
 

@@ -120,6 +120,9 @@ def test_true_theta_noise_override_and_kinetics():
         ({"experiment": {"target_t": 12}}, "experiment.target_t"),
         ({"experiment": {"target_t": 0}}, "experiment.target_t"),
         ({"experiment": {"macro_replications": 0}}, "experiment.macro_replications"),
+        ({"model": {"init": [True, 0]}}, "model.init"),
+        ({"prior": {"r_g": [False, 0.5]}}, "prior.r_g"),
+        ({"experiment": {"noise_levels": [True]}}, "experiment.noise_levels"),
     ],
 )
 def test_validation_reports_field_paths(override, path):
@@ -180,7 +183,11 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
     dataset = generate_dataset(theta, (3.0, 0.0), 2, 1, 4, 3.0, rng=6)
     path = tmp_path / "d.csv"
     io.write_dataset(path, dataset, {"seed": 6})
-    lines = path.read_text().splitlines()
+    text = path.read_text()
+    path.write_text(text + "0,0,999.0\n")  # a second row for (0, 0)
+    with pytest.raises(ValueError, match=r"row \(0, 0\) appears more than once"):
+        io.read_dataset(path)
+    lines = text.splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one data row
     with pytest.raises(ValueError, match="missing rows"):
         io.read_dataset(path)
@@ -214,6 +221,12 @@ def test_cli_validate_config(tmp_path, capsys):
     assert main(["validate-config", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "engine.distance" in err
+
+
+@pytest.mark.parametrize("command", ["validate-config", "generate", "experiment"])
+def test_cli_rejects_a_negative_seed_override(command, tmp_path, capsys):
+    assert main([command, "--quiet", "--seed", "-3", "--out", str(tmp_path / "x")]) == 2
+    assert "config error: seed: must be non-negative" in capsys.readouterr().err
 
 
 def test_cli_version_and_bad_preset():
@@ -327,8 +340,17 @@ def test_cli_experiment_smoke(tmp_path):
     assert len(pred_rows) == 3 * 50
     sources = {row[3] for row in pred_rows}
     assert sources == {"true-model", "posterior-auxiliary", "posterior-naive"}
-    _, _, rep_rows = io.read_table(cell / "replications.csv")
+    _, columns, rep_rows = io.read_table(cell / "replications.csv")
+    assert columns == [
+        "method", "v", "m", "ks_rho", "ks_I", "runtime_s", "ratio",
+        "replication", "seed", "generations", "simulator_calls",
+    ]
     assert len(rep_rows) == 4  # 2 methods x 2 replications
+    reps = [dict(zip(columns, row)) for row in rep_rows]
+    runtime = {(r["replication"], r["method"]): float(r["runtime_s"]) for r in reps}
+    for r in reps:
+        rep = r["replication"]
+        assert float(r["ratio"]) == runtime[rep, "naive"] / runtime[rep, "auxiliary"]
 
 
 def test_console_script_entry_point():

@@ -10,8 +10,8 @@ from hybridabc.model import Dataset, generate_dataset
 def test_auxiliary_distance_is_euclidean():
     a = np.zeros(5)  # H = 1: 2 means, 1 lag weight, 2 stds
     b = np.array([3.0, 0.0, 4.0, 0.0, 0.0])
-    assert auxiliary_distance(a, b) == pytest.approx(5.0, rel=1e-15)
-    assert auxiliary_distance(a, a) == 0.0
+    assert auxiliary_distance(a, b, np.eye(5)) == pytest.approx(5.0, rel=1e-15)
+    assert auxiliary_distance(a, a, np.eye(5)) == 0.0
 
 
 def test_auxiliary_distance_applies_scales():
@@ -23,7 +23,7 @@ def test_auxiliary_distance_applies_scales():
 
 def test_auxiliary_distance_rejects_layout_mismatch():
     with pytest.raises(ValueError, match="summary shapes differ"):
-        auxiliary_distance(np.zeros(5), np.zeros(8))
+        auxiliary_distance(np.zeros(5), np.zeros(8), np.eye(8))
 
 
 def test_auxiliary_distance_rejects_wrong_scale_length():

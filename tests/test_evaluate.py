@@ -6,22 +6,22 @@ import pytest
 import hybridabc.evaluate as evaluate
 from hybridabc import io
 from helpers import brute_force_ks, reference_trajectory
+from hybridabc.config import build_config
 from hybridabc.evaluate import (
     CellResult,
-    PredictiveSample,
     ReplicationRecord,
     confidence_interval,
     ks_statistic,
-    predictive_from_thetas,
     run_cell,
     run_replication,
     sample_posterior_predictive,
     sample_true_predictive,
 )
-from hybridabc.model import ErythroblastModel, erythroblast_prior
+from hybridabc.model import ErythroblastModel
 from hybridabc.smc import PosteriorApproximation, SmcSettings
 
 QUICK = SmcSettings(n_particles=30, alpha=0.5, p_acc_min=0.4, max_generations=6)
+PRIOR = build_config().prior
 
 
 def _posterior(thetas, weights):
@@ -38,8 +38,6 @@ def _posterior(thetas, weights):
         generations=1,
         stopped_by="acceptance-rate",
         wall_time_s=0.0,
-        n_target_retained=len(thetas),
-        seed=0,
     )
 
 
@@ -91,23 +89,14 @@ def test_confidence_interval_shrinks_with_replications():
     assert half[40] < half[10] / 1.9
 
 
-def test_predictive_sample_validation():
-    with pytest.raises(ValueError):
-        PredictiveSample(values=np.zeros((4, 3)), source="x", target_t=1)
-    sample = PredictiveSample(values=np.arange(8.0).reshape(4, 2), source="x", target_t=1)
-    np.testing.assert_array_equal(sample.rho, [0.0, 2.0, 4.0, 6.0])
-    np.testing.assert_array_equal(sample.inhibitor, [1.0, 3.0, 5.0, 7.0])
-
-
 def test_true_predictive_hits_deterministic_states():
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
     ref = reference_trajectory(theta, (3.0, 0.0), 10, 3.0)
     first = sample_true_predictive(theta, model, 1, 5, np.random.default_rng(0))
-    np.testing.assert_array_equal(first.values, np.tile([3.0, 0.0], (5, 1)))
-    assert first.source == "true-model"
+    np.testing.assert_array_equal(first, np.tile([3.0, 0.0], (5, 1)))
     last = sample_true_predictive(theta, model, 11, 5, np.random.default_rng(0))
-    np.testing.assert_allclose(last.values, np.tile(ref[10], (5, 1)), rtol=1e-12)
+    np.testing.assert_allclose(last, np.tile(ref[10], (5, 1)), rtol=1e-12)
 
 
 def test_target_t_bounds():
@@ -118,15 +107,6 @@ def test_target_t_bounds():
             sample_true_predictive(theta, model, bad, 5, np.random.default_rng(0))
 
 
-def test_predictive_from_thetas_uses_each_row():
-    model = ErythroblastModel()
-    t1 = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
-    t2 = np.array([0.2, 3.4, 2.6, 0.005, 0.0, 0.0])
-    out = predictive_from_thetas(np.vstack([t1, t2]), model, 11, np.random.default_rng(0))
-    np.testing.assert_allclose(out[0], reference_trajectory(t1, (3.0, 0.0), 10, 3.0)[10], rtol=1e-12)
-    np.testing.assert_allclose(out[1], reference_trajectory(t2, (3.0, 0.0), 10, 3.0)[10], rtol=1e-12)
-
-
 def test_posterior_predictive_draws_by_weight():
     model = ErythroblastModel()
     t1 = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
@@ -135,17 +115,15 @@ def test_posterior_predictive_draws_by_weight():
     ref1 = reference_trajectory(t1, (3.0, 0.0), 10, 3.0)[10]
 
     weighted = sample_posterior_predictive(posterior, model, 11, 64, np.random.default_rng(1))
-    np.testing.assert_allclose(weighted.values, np.tile(ref1, (64, 1)), rtol=1e-12)
-    assert weighted.source == "posterior"
+    np.testing.assert_allclose(weighted, np.tile(ref1, (64, 1)), rtol=1e-12)
 
 
 def test_run_replication_is_reproducible():
     model = ErythroblastModel()
-    prior = erythroblast_prior()
     theta_true = np.array([0.057, 3.4, 2.6, 0.005, 0.2, 0.2])
     kwargs = dict(
         model=model,
-        prior=prior,
+        prior=PRIOR,
         theta_true=theta_true,
         batches=3,
         settings=QUICK,
@@ -173,10 +151,9 @@ def test_run_replication_is_reproducible():
 
 def test_run_cell_aggregates_both_methods():
     model = ErythroblastModel()
-    prior = erythroblast_prior()
     result = run_cell(
         model=model,
-        prior=prior,
+        prior=PRIOR,
         kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
         noise=0.2,
         batches=3,
@@ -203,6 +180,8 @@ def test_run_cell_aggregates_both_methods():
     for row in rows:
         assert row["replications"] == 2
         assert np.isfinite(row["ks_mean"])
+    aux, naive = result.method_records("auxiliary"), result.method_records("naive")
+    assert result.ratios == [n.runtime_s / a.runtime_s for a, n in zip(aux, naive)]
     ratio = result.ratio_summary()
     assert ratio["replications"] == 2
     assert ratio["ratio_mean"] > 0.0
@@ -226,7 +205,7 @@ def test_run_cell_isolates_replication_failures(monkeypatch):
     with pytest.warns(UserWarning, match="skipped replications"):
         result = run_cell(
             model=ErythroblastModel(),
-            prior=erythroblast_prior(),
+            prior=PRIOR,
             kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
             noise=0.2,
             batches=3,
@@ -255,7 +234,7 @@ def test_replication_failures_reach_the_replications_file(monkeypatch, tmp_path)
     with pytest.warns(UserWarning, match="skipped replications"):
         cell = run_cell(
             model=ErythroblastModel(),
-            prior=erythroblast_prior(),
+            prior=PRIOR,
             kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
             noise=0.2,
             batches=3,
@@ -281,7 +260,7 @@ def test_run_cell_fails_when_too_many_replications_fail(monkeypatch):
     with pytest.raises(RuntimeError, match="replications"):
         run_cell(
             model=ErythroblastModel(),
-            prior=erythroblast_prior(),
+            prior=PRIOR,
             kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
             noise=0.2,
             batches=3,
@@ -298,7 +277,7 @@ def test_cell_result_callback_sees_partial_state():
     seen = []
     run_cell(
         model=ErythroblastModel(),
-        prior=erythroblast_prior(),
+        prior=PRIOR,
         kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
         noise=0.2,
         batches=3,
@@ -321,6 +300,7 @@ def test_replication_record_is_plain_data():
         ks_rho=0.1,
         ks_inh=0.2,
         runtime_s=1.0,
+        ratio=1.5,
         generations=3,
         simulator_calls=100,
     )

@@ -1,10 +1,22 @@
-"""Every module under ``src/`` and ``tests/`` uses each name it imports.
+"""Imports and definitions that nothing needs.
 
-A name counts as used when it appears as a name anywhere in the module, as
-the root of an attribute chain, or in the module's ``__all__``.
+Every module under ``src/`` and ``tests/`` uses each name it imports: a name
+counts as used when it appears as a name anywhere in the module, as the root
+of an attribute chain, or in the module's ``__all__``.
+
+Every function, class and method under ``src/`` is needed by the program,
+the benchmark or the acceptance gate, not only by unit tests: its name is
+referenced from ``src/`` outside its own definition, from ``pipebench/``,
+from ``tests/test_acceptance.py`` or from ``tests/helpers.py``. A reference
+is a name, an attribute or a string constant equal to the name, since the
+benchmark patches attributes by name and the engine reads one through
+``getattr``. Names in an ``__all__`` list are exported, not referenced.
+Dunder methods run without being named and are not checked.
 """
 
 import ast
+import textwrap
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,6 +25,18 @@ MODULES = sorted(
     for folder in ("src", "tests")
     for path in (ROOT / folder).rglob("*.py")
 )
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+NEEDING = [
+    *sorted((ROOT / "pipebench").rglob("*.py")),
+    ROOT / "tests" / "test_acceptance.py",
+    ROOT / "tests" / "helpers.py",
+]
+
+
+def _is_all(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,11 +51,49 @@ def unused_imports(source: str) -> list[str]:
             imported += [a.asname or a.name for a in node.names if a.name != "*"]
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        elif _is_all(node):
             used.update(ast.literal_eval(node.value))
     return [name for name in imported if name not in used]
+
+
+def _references(node) -> Counter:
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs[sub.value] += 1
+    return refs
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unneeded_definitions(sources: list[str], needing: list[str]) -> list[str]:
+    """Definitions in ``sources`` that no source names outside themselves."""
+    trees = [ast.parse(source) for source in sources]
+    refs = Counter()
+    for tree in trees + [ast.parse(source) for source in needing]:
+        refs += _references(tree)
+        for node in tree.body:
+            if _is_all(node):
+                refs -= _references(node)
+    return [
+        qualname
+        for tree in trees
+        for qualname, node in _definitions(tree)
+        if refs[node.name] <= _references(node)[node.name]
+    ]
 
 
 def test_the_scan_finds_unused_imports():
@@ -42,3 +104,28 @@ def test_the_scan_finds_unused_imports():
 def test_modules_use_every_import():
     unused = {str(m): unused_imports((ROOT / m).read_text()) for m in MODULES}
     assert {m: names for m, names in unused.items() if names} == {}
+
+
+def test_the_scan_finds_definitions_only_tests_need():
+    source = textwrap.dedent(
+        """
+        __all__ = ["exported"]
+
+        def used(): pass
+        def exported(): pass
+        def recursive(): return recursive()
+
+        class Kernel:
+            def __len__(self): return 0
+            def by_getattr(self): pass
+            def tested(self): pass
+        """
+    )
+    needing = "used()\nk = Kernel()\ngetattr(k, 'by_getattr')\n"
+    assert unneeded_definitions([source], [needing]) == ["exported", "recursive", "Kernel.tested"]
+
+
+def test_every_definition_is_needed_beyond_unit_tests():
+    sources = [path.read_text() for path in SOURCES]
+    needing = [path.read_text() for path in NEEDING]
+    assert unneeded_definitions(sources, needing) == []

@@ -6,17 +6,18 @@ import pytest
 from helpers import reference_trajectory
 from hybridabc import kernels
 from hybridabc import rng as rng_mod
+from hybridabc.config import build_config
 from hybridabc.model import (
     TRUE_KINETICS,
     Dataset,
     ErythroblastModel,
     Prior,
     SimulationError,
-    erythroblast_prior,
     generate_dataset,
 )
 
 THETA_REF = np.array([0.057, 3.4, 2.6, 0.005, 0.0, 0.0])
+PRIOR = build_config().prior
 
 
 def test_first_step_matches_hand_computation():
@@ -56,6 +57,15 @@ def test_multi_theta_rows_match_single_theta_batches():
     a = model.simulate_paths(theta, 4, rng_mod.substream(7, 1))
     b = model.simulate_paths_multi(thetas, rng_mod.substream(7, 1))
     np.testing.assert_array_equal(a, b)
+
+
+def test_multi_theta_gives_each_row_its_own_parameters():
+    t2 = np.array([0.2, 3.4, 2.6, 0.005, 0.0, 0.0])
+    states = ErythroblastModel().simulate_paths_multi(
+        np.vstack([THETA_REF, t2]), np.random.default_rng(0)
+    )
+    for path, theta in zip(states, (THETA_REF, t2)):
+        np.testing.assert_allclose(path, reference_trajectory(theta, (3.0, 0.0), 10, 3.0), rtol=1e-12)
 
 
 def test_paths_are_the_kernel_on_path_major_shocks_bit_for_bit():
@@ -119,23 +129,21 @@ def test_theta_validation():
 
 
 def test_default_prior_density_is_box_volume_reciprocal():
-    prior = erythroblast_prior()
     theta_c = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     volume = 0.5 * 5.0 * 5.0 * 0.05 * 0.2 * 0.2
-    assert prior.density(theta_c) == pytest.approx(1.0 / volume, rel=1e-12)
-    assert prior.density(theta_c) == pytest.approx(40.0, rel=1e-12)
-    assert prior.density(np.array([0.6, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
-    assert prior.density(np.array([-0.01, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
+    assert PRIOR.density(theta_c) == pytest.approx(1.0 / volume, rel=1e-12)
+    assert PRIOR.density(theta_c) == pytest.approx(40.0, rel=1e-12)
+    assert PRIOR.density(np.array([0.6, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
+    assert PRIOR.density(np.array([-0.01, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
 
 
 def test_prior_samples_fill_the_box():
-    prior = erythroblast_prior()
     rng = np.random.default_rng(4)
-    draws = np.array([prior.sample(rng) for _ in range(20000)])
+    draws = np.array([PRIOR.sample(rng) for _ in range(20000)])
     assert draws.shape == (20000, 6)
-    assert (draws >= prior.lows).all() and (draws <= prior.highs).all()
-    mid = (prior.lows + prior.highs) / 2.0
-    se = (prior.highs - prior.lows) / math.sqrt(12.0) / math.sqrt(20000)
+    assert (draws >= PRIOR.lows).all() and (draws <= PRIOR.highs).all()
+    mid = (PRIOR.lows + PRIOR.highs) / 2.0
+    se = (PRIOR.highs - PRIOR.lows) / math.sqrt(12.0) / math.sqrt(20000)
     assert (np.abs(draws.mean(axis=0) - mid) < 5 * se).all()
 
 
@@ -144,9 +152,8 @@ def test_prior_validation():
         Prior(names=("a", "b"), lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Prior(names=("a",), lows=np.array([0.0, 0.0]), highs=np.array([1.0, 1.0]))
-    prior = erythroblast_prior()
     with pytest.raises(ValueError):
-        prior.contains(np.ones(3))
+        PRIOR.contains(np.ones(3))
 
 
 def test_true_kinetics_values():

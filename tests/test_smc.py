@@ -11,15 +11,10 @@ from helpers import (
     ToyNormalObjective,
 )
 from hybridabc import rng as rng_mod
+from hybridabc.config import build_config
 from hybridabc.distance import auxiliary_distance, naive_distance
 from hybridabc.lgdbn import summarize
-from hybridabc.model import (
-    Dataset,
-    ErythroblastModel,
-    Prior,
-    erythroblast_prior,
-    generate_dataset,
-)
+from hybridabc.model import Dataset, ErythroblastModel, Prior, generate_dataset
 from hybridabc.smc import (
     AuxiliaryObjective,
     NaiveObjective,
@@ -34,7 +29,6 @@ from hybridabc.smc import (
     compute_weight,
     perturb,
     replicate_fractions,
-    resample_index,
     resample_indices,
     run_abc_smc,
     run_inference,
@@ -42,6 +36,7 @@ from hybridabc.smc import (
 
 TOY_PRIOR = Prior(names=("mean",), lows=np.array([-5.0]), highs=np.array([5.0]))
 TOY = ToyNormalObjective(obs_mean=1.2, obs_std=1.0)
+PRIOR = build_config().prior
 
 
 def _norm_pdf(x, mean, var):
@@ -98,8 +93,8 @@ def test_resampling_matches_weight_proportions():
     idx = resample_indices(weights, rng, 30000)
     freqs = np.bincount(idx, minlength=3) / 30000
     np.testing.assert_allclose(freqs, weights / 6.0, atol=0.02)
-    one = resample_index(np.array([0.0, 1.0, 0.0]), rng)
-    assert one == 1
+    one = resample_indices(np.array([0.0, 1.0, 0.0]), rng, 1)
+    assert one.tolist() == [1]
 
 
 def test_resampling_validation():
@@ -147,7 +142,6 @@ def test_perturbation_kernel_density_closed_form():
 
 def test_perturbation_kernel_degenerate():
     kernel = PerturbationKernel(covariance=np.array([[0.0]]))
-    assert kernel.is_degenerate
     assert kernel.sample(np.random.default_rng(0))[0] == 0.0
     dens = kernel.densities(np.array([0.5]), np.array([[0.5], [0.7]]))
     assert dens[0] == np.inf
@@ -226,7 +220,7 @@ def test_engine_stops_immediately_at_unit_threshold():
     assert posterior.n_evaluations == 120
     assert posterior.tolerances.shape == (1,)
     assert posterior.acceptance_rates.shape == (0,)
-    assert len(posterior) >= posterior.n_target_retained == 60
+    assert len(posterior) >= 60  # floor(alpha * N)
     np.testing.assert_allclose(posterior.weights, 1.0 / len(posterior))
 
 
@@ -296,8 +290,6 @@ def test_posterior_summaries():
         generations=1,
         stopped_by="acceptance-rate",
         wall_time_s=0.0,
-        n_target_retained=2,
-        seed=0,
     )
     assert posterior.weighted_mean()[0] == pytest.approx(1.0)
     assert posterior.weighted_std()[0] == pytest.approx(math.sqrt(0.5))
@@ -353,8 +345,7 @@ def test_one_chunk_matches_one_slot_chunks(method):
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
     objective = build_objective(model, observed, method, sim_replicates=5)
-    prior = erythroblast_prior()
-    thetas = np.random.default_rng(6).uniform(prior.lows, prior.highs, (7, 6))
+    thetas = np.random.default_rng(6).uniform(PRIOR.lows, PRIOR.highs, (7, 6))
     slots = np.arange(10, 17)
     chunk = _evaluate_chunk(objective, 3, 2, slots, thetas)
     singles = []
@@ -376,12 +367,11 @@ def test_one_chunk_matches_one_slot_chunks(method):
 
 def test_run_inference_counts_simulator_calls():
     model = ErythroblastModel()
-    prior = erythroblast_prior()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.2, 0.2])
     observed = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=3)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.5, max_generations=5)
     posterior = run_inference(
-        model, prior, observed, "auxiliary", settings, sim_replicates=2, seed=4
+        model, PRIOR, observed, "auxiliary", settings, sim_replicates=2, seed=4
     )
     assert posterior.simulator_calls == posterior.n_evaluations * 6
     assert posterior.n_evaluations == 24 + (posterior.generations - 1) * 12
@@ -431,9 +421,8 @@ def test_replicate_runs_do_not_depend_on_worker_count():
     objective = build_objective(model, observed, "naive", sim_replicates=3)
     assert objective(theta, rng_mod.substream(1, 0)).shape == (3,)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.2, max_generations=3)
-    prior = erythroblast_prior()
-    serial = run_abc_smc(prior, objective, settings, seed=6, workers=1)
-    pooled = run_abc_smc(prior, objective, settings, seed=6, workers=2)
+    serial = run_abc_smc(PRIOR, objective, settings, seed=6, workers=1)
+    pooled = run_abc_smc(PRIOR, objective, settings, seed=6, workers=2)
     np.testing.assert_array_equal(serial.thetas, pooled.thetas)
     np.testing.assert_array_equal(serial.weights, pooled.weights)
     np.testing.assert_array_equal(serial.distances, pooled.distances)
@@ -461,7 +450,7 @@ def test_run_inference_frozen_values(method):
     observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=17)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.05, max_generations=3)
     posterior = run_inference(
-        ErythroblastModel(), erythroblast_prior(), observed, method, settings,
+        ErythroblastModel(), PRIOR, observed, method, settings,
         sim_replicates=2, seed=19,
     )
     tolerances, mean = FROZEN_RUNS[method]
