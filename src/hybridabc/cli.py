@@ -139,15 +139,13 @@ def _check_dataset(cfg: ExperimentConfig, dataset) -> None:
         raise ValueError(f"dataset dt {dataset.dt} does not match config dt {cfg.dt}")
 
 
-def _progress_printer(args, extra: dict):
-    def cb(record):
-        if args.quiet:
-            return
-        payload = dict(extra, **dataclasses.asdict(record))
-        payload["elapsed_s"] = round(record.elapsed_s, 3)
-        print(json.dumps(payload), file=sys.stderr)
-
-    return cb
+def _print_record(args, record, **labels) -> None:
+    """One JSON progress line: the labels, then the ``GenerationRecord`` fields."""
+    if args.quiet:
+        return
+    payload = dict(labels, **dataclasses.asdict(record))
+    payload["elapsed_s"] = round(record.elapsed_s, 3)
+    print(json.dumps(payload), file=sys.stderr)
 
 
 def cmd_infer(args) -> int:
@@ -157,14 +155,6 @@ def cmd_infer(args) -> int:
     method = args.method or cfg.distance
     echo["engine"] = dict(echo.get("engine", {}), distance=method)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
-
-    records = []
-    printer = _progress_printer(args, {"method": method})
-
-    def progress(record):
-        records.append(record)
-        printer(record)
-
     posterior = run_inference(
         cfg.build_model(),
         cfg.prior,
@@ -174,10 +164,10 @@ def cmd_infer(args) -> int:
         cfg.sim_replicates,
         seed=seed,
         workers=_workers(args),
-        progress=progress,
+        progress=lambda record: _print_record(args, record, method=method),
     )
     io.write_posterior(out_dir / "posterior.csv", posterior, PARAM_NAMES, echo)
-    io.write_history(out_dir / "history.csv", records, echo)
+    io.write_history(out_dir / "history.csv", posterior.history, echo)
     _say(
         args,
         f"{method}: {posterior.generations} generations, "
@@ -207,14 +197,8 @@ def cmd_experiment(args) -> int:
                 done = len(result.ratios) + len(result.failures)
                 _say(args, f"[{label}] replication {r + 1}/{cfg.macro_replications} done ({done} total)")
 
-            progress = None
-            if not args.quiet:
-                printer_cache = {}
-
-                def progress(method, record, label=label, cache=printer_cache):
-                    if method not in cache:
-                        cache[method] = _progress_printer(args, {"cell": label, "method": method})
-                    cache[method](record)
+            def progress(method, record, label=label):
+                _print_record(args, record, cell=label, method=method)
 
             try:
                 cell = evaluate.run_cell(

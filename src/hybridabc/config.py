@@ -9,6 +9,7 @@ typos fail loudly. ``ExperimentConfig`` is the validated, typed result.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,7 @@ class ConfigError(ValueError):
 
     def __init__(self, path: str, message: str):
         self.path = path
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
 
 
 _BASE = {
@@ -96,21 +97,26 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def _is_number(value) -> bool:
-    """An int or a float; YAML booleans are ints to Python but not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float; YAML booleans are ints to Python but not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _expect(mapping: dict, key: str, kind, path: str):
+    where = f"{path}.{key}" if path else key
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing")
+        raise ConfigError(where, "missing")
     value = mapping[key]
-    if kind is float and _is_number(value):
-        value = float(value)
+    if kind is float:
+        if not _is_number(value):
+            raise ConfigError(where, f"expected a finite number, got {value!r}")
+        return float(value)
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(
-            f"{path}.{key}" if path else key,
-            f"expected {getattr(kind, '__name__', kind)}, got {type(value).__name__}",
-        )
+        raise ConfigError(where, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -177,8 +183,10 @@ def load_config(path: str | Path | None, preset: str = "desk") -> ExperimentConf
     """Read a YAML config file (optional) on top of a preset."""
     overrides = None
     if path is not None:
-        text = Path(path).read_text()
-        overrides = yaml.safe_load(text)
+        try:
+            overrides = yaml.safe_load(Path(path).read_text())
+        except yaml.YAMLError as exc:
+            raise ConfigError(str(path), f"not valid YAML: {exc}") from exc
         if overrides is None:
             overrides = {}
     return build_config(overrides, preset=preset)

@@ -238,7 +238,8 @@ def run_cell(
 
     Replication r derives everything from seed + r. Individual replication
     failures are recorded and skipped unless they exceed a fifth of the
-    requested count, in which case the cell fails.
+    requested count, in which case the cell fails. The predictive draws kept
+    are those of the first replication that completes.
     """
     theta_true = np.concatenate([np.asarray(kinetics, dtype=float), [noise, noise]])
     result = CellResult(noise=noise, batches=batches)
@@ -277,7 +278,7 @@ def run_cell(
                     simulator_calls=rec["posterior"].simulator_calls,
                 )
             )
-        if r == 0:
+        if not result.predictive:
             result.predictive = predictive
         if on_replication is not None:
             on_replication(result, r)

@@ -112,6 +112,8 @@ def read_dataset(path) -> Dataset:
     dt = float(meta["dt"])
     states = np.full((m, horizon + 1, 1), np.nan)
     for row in raw:
+        if len(row) != 3:
+            raise ValueError(f"{path}: row {','.join(row)!r} does not hold three fields")
         i, t, value = int(row[0]), int(row[1]), float(row[2])
         if not (0 <= i < m and 0 <= t <= horizon):
             raise ValueError(f"{path}: row ({i}, {t}) outside the declared shape")

@@ -93,8 +93,8 @@ class Dataset:
         states = np.asarray(self.states, dtype=float)
         if states.ndim != 3 or states.shape[0] < 1 or states.shape[1] < 2:
             raise ValueError("states must be (m, H + 1, d_x) with m >= 1, H >= 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         object.__setattr__(self, "states", states)
 
     def __len__(self) -> int:
@@ -133,8 +133,8 @@ class ErythroblastModel:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
 
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -162,53 +162,44 @@ class ErythroblastModel:
         faults of allocating and freeing these arrays on every call.
         Raises SimulationError if any state becomes non-finite.
         """
-        theta = self._check_theta(theta)
-        rng = normalize_rng(rng)
-        draws, shocks, states = workspace or self.workspace(n)
-        if draws.shape[0] != n:
-            raise ValueError(f"the workspace holds {draws.shape[0]} paths, not {n}")
-        rng.standard_normal(draws.shape, out=draws)
+        buffers = workspace or self.workspace(n)
+        if buffers[0].shape[0] != n:
+            raise ValueError(f"the workspace holds {buffers[0].shape[0]} paths, not {n}")
+        out = self._simulate(theta, rng, buffers)
+        return out if workspace else np.ascontiguousarray(out)
+
+    def simulate_paths_multi(self, thetas, rng) -> np.ndarray:
+        """Simulate one full path per row of ``thetas`` (shape (n, 6))."""
+        thetas = np.atleast_2d(thetas)
+        return self._simulate(thetas, rng, self.workspace(thetas.shape[0]))
+
+    def _simulate(self, theta, rng, workspace) -> np.ndarray:
+        """States of the workspace's paths under ``theta``, as (n, horizon + 1, 2).
+
+        ``theta`` is one parameter vector (6,) shared by every path or one
+        row per path (n, 6). Raises SimulationError at the earliest step
+        with a non-finite state.
+        """
+        per_param = np.ascontiguousarray(self._check_theta(theta).T)
+        draws, shocks, states = workspace
+        normalize_rng(rng).standard_normal(draws.shape, out=draws)
         # Scaling after the step-major transpose runs each multiply along a
         # whole row of paths instead of over the two shock channels.
-        np.multiply(draws.transpose(1, 2, 0), theta[4:6, None], out=shocks)
+        np.multiply(draws.transpose(1, 2, 0), per_param[4:6].reshape(2, -1), out=shocks)
         out = kernels.simulate_paths_raw(
-            *theta[:4],
+            *per_param[:4],
             self.dt,
             self.init_rho,
             self.init_inh,
             shocks.transpose(2, 0, 1),
             out=states,
         )
-        _raise_on_nonfinite(out)
-        return out if workspace else np.ascontiguousarray(out)
-
-    def simulate_paths_multi(self, thetas, rng) -> np.ndarray:
-        """Simulate one full path per row of ``thetas`` (shape (n, 6))."""
-        thetas = self._check_theta(np.atleast_2d(thetas))
-        rng = normalize_rng(rng)
-        n = thetas.shape[0]
-        eps = rng.standard_normal((n, self.horizon, 2)) * thetas[:, None, 4:6]
-        out = kernels.simulate_paths_raw(
-            np.ascontiguousarray(thetas[:, 0]),
-            np.ascontiguousarray(thetas[:, 1]),
-            np.ascontiguousarray(thetas[:, 2]),
-            np.ascontiguousarray(thetas[:, 3]),
-            self.dt,
-            self.init_rho,
-            self.init_inh,
-            eps,
-        )
-        _raise_on_nonfinite(out)
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            j = int(bad[:, 1].argmin())
+            raise SimulationError(path_index=bad[j, 0], step=bad[j, 1])
         return out
-
-
-def _raise_on_nonfinite(states: np.ndarray) -> None:
-    finite = np.isfinite(states)
-    if finite.all():
-        return
-    bad = np.argwhere(~finite)
-    j = int(bad[:, 1].argmin())
-    raise SimulationError(path_index=bad[j, 0], step=bad[j, 1])
 
 
 def generate_dataset(theta, init, m: int, L: int, horizon: int, dt: float, rng) -> Dataset:

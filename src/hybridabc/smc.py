@@ -67,11 +67,11 @@ class SmcSettings:
 
 @dataclass(eq=False)
 class Population:
-    """Retained particles of one generation."""
+    """Retained particles of one generation with their (n, L) replicate distances."""
 
     thetas: np.ndarray
     weights: np.ndarray
-    distances: np.ndarray
+    replicates: np.ndarray
     tolerance: float
     generation: int
 
@@ -79,8 +79,8 @@ class Population:
         n = self.thetas.shape[0]
         if n < 1 or self.thetas.ndim != 2:
             raise ValueError("thetas must be a non-empty (n, d) array")
-        if self.weights.shape != (n,) or self.distances.shape != (n,):
-            raise ValueError("weights and distances must match the particle count")
+        if self.weights.shape != (n,) or self.replicates.ndim != 2 or len(self.replicates) != n:
+            raise ValueError("weights and replicate rows must match the particle count")
         if (self.weights < 0).any() or not np.isfinite(self.weights).all():
             raise ValueError("weights must be finite and non-negative")
         if not (self.weights > 0).any():
@@ -90,6 +90,11 @@ class Population:
 
     def __len__(self) -> int:
         return self.thetas.shape[0]
+
+    @property
+    def distances(self) -> np.ndarray:
+        """Each particle's smallest replicate distance."""
+        return self.replicates.min(axis=1)
 
     def normalized_weights(self) -> np.ndarray:
         return self.weights / self.weights.sum()
@@ -149,7 +154,7 @@ class PosteriorApproximation:
     weights: np.ndarray
     distances: np.ndarray
     tolerances: np.ndarray
-    acceptance_rates: np.ndarray
+    history: list[GenerationRecord]
     n_evaluations: int
     simulator_calls: int
     generations: int
@@ -274,23 +279,23 @@ def replicate_fractions(replicates: np.ndarray, tolerance: float) -> np.ndarray:
     return (np.asarray(replicates) <= tolerance).mean(axis=1)
 
 
-def _evaluate_chunk(objective, seed, gen_index, slots, thetas):
+def _evaluate_chunk(objective, seed, generation, slots, thetas):
     """Replicate distances of each slot, stacked into a (len(slots), L) array."""
     return np.stack(
         [
-            np.atleast_1d(objective(theta, substream(seed, STREAM_SIMULATION, gen_index, slot)))
+            np.atleast_1d(objective(theta, substream(seed, STREAM_SIMULATION, generation, slot)))
             for slot, theta in zip(slots, thetas)
         ]
     )
 
 
-def _evaluate(objective, seed, gen_index, slots, thetas, executor, workers):
+def _evaluate(objective, seed, generation, slots, thetas, executor, workers):
     slots = np.asarray(list(slots))
     if executor is None or len(slots) < 2 * workers:
-        return _evaluate_chunk(objective, seed, gen_index, slots, thetas)
+        return _evaluate_chunk(objective, seed, generation, slots, thetas)
     pieces = np.array_split(np.arange(len(slots)), workers)
     futures = [
-        executor.submit(_evaluate_chunk, objective, seed, gen_index, slots[p], thetas[p])
+        executor.submit(_evaluate_chunk, objective, seed, generation, slots[p], thetas[p])
         for p in pieces
         if len(p)
     ]
@@ -325,75 +330,65 @@ def run_abc_smc(
     Returns
     -------
     PosteriorApproximation
-        Retained particles with weights normalized to sum to one, plus the
-        tolerance and acceptance-rate histories and effort counters. With
-        replicate distances, ``distances`` holds each particle's smallest
-        replicate and the weights include the replicate fractions.
+        Retained particles with weights normalized to sum to one, the
+        ``GenerationRecord`` of every generation in ``history`` and the
+        tolerances and effort counters read off it. With replicate
+        distances, ``distances`` holds each particle's smallest replicate
+        and the weights include the replicate fractions.
     """
     t0 = time.perf_counter()
     N = settings.n_particles
     n_keep = math.floor(settings.alpha * N)
+    n_new = N - n_keep
     calls_per_eval = int(getattr(objective, "calls_per_evaluation", 1))
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    history = []
 
-    def report(pop, p_acc, n_evaluations):
+    def retain(thetas, weights, replicates, generation, p_acc):
+        """Keep the pool's particles within the alpha quantile of their smallest replicates."""
+        distances = replicates.min(axis=1)
+        tol = adapt_tolerance(distances, settings.alpha)
+        keep = distances <= tol
+        population = Population(thetas[keep], weights[keep], replicates[keep], tol, generation)
+        n_evaluations = N + (generation - 1) * n_new
+        record = GenerationRecord(
+            generation=generation,
+            tolerance=tol,
+            p_acc=p_acc,
+            n_retained=len(population),
+            n_evaluations=n_evaluations,
+            simulator_calls=n_evaluations * calls_per_eval,
+            elapsed_s=time.perf_counter() - t0,
+        )
+        history.append(record)
         if progress is not None:
-            progress(
-                GenerationRecord(
-                    generation=pop.generation,
-                    tolerance=pop.tolerance,
-                    p_acc=p_acc,
-                    n_retained=len(pop),
-                    n_evaluations=n_evaluations,
-                    simulator_calls=n_evaluations * calls_per_eval,
-                    elapsed_s=time.perf_counter() - t0,
-                )
-            )
+            progress(record)
+        return population
 
     try:
         thetas = np.empty((N, prior.dim))
         for slot in range(N):
             thetas[slot] = prior.sample(substream(seed, STREAM_PROPOSAL, 0, slot))
         replicates = _evaluate(objective, seed, 0, range(N), thetas, executor, workers)
-        distances = replicates.min(axis=1)
-        n_evaluations = N
+        population = retain(thetas, np.ones(N), replicates, 1, 1.0)
 
-        tol = adapt_tolerance(distances, settings.alpha)
-        keep = distances <= tol
-        replicates = replicates[keep]
-        population = Population(
-            thetas=thetas[keep],
-            weights=np.ones(int(keep.sum())),
-            distances=distances[keep],
-            tolerance=tol,
-            generation=1,
-        )
-        tolerances = [tol]
-        acceptance_rates = []
-        report(population, 1.0, n_evaluations)
-
-        p_acc = 1.0
-        gen_index = 1
         stopped_by = "acceptance-rate"
-        while p_acc > settings.p_acc_min:
-            if population.generation >= settings.max_generations:
+        while history[-1].p_acc > settings.p_acc_min:
+            generation = population.generation
+            if generation >= settings.max_generations:
                 stopped_by = "max-generations"
                 break
             kernel = adapt_kernel(population)
-            n_new = N - n_keep
             new_thetas = np.empty((n_new, prior.dim))
-            for j in range(n_new):
-                slot = n_keep + j
-                prop_rng = substream(seed, STREAM_PROPOSAL, gen_index, slot)
+            for j, slot in enumerate(range(n_keep, N)):
+                prop_rng = substream(seed, STREAM_PROPOSAL, generation, slot)
                 star = population.thetas[resample_indices(population.weights, prop_rng, 1)[0]]
                 new_thetas[j] = perturb(star, kernel, prior, prop_rng)
             new_reps = _evaluate(
-                objective, seed, gen_index, range(n_keep, N), new_thetas, executor, workers
+                objective, seed, generation, range(n_keep, N), new_thetas, executor, workers
             )
-            new_q = new_reps.min(axis=1)
-            n_evaluations += n_new
 
-            accepted = new_q <= population.tolerance
+            accepted = new_reps.min(axis=1) <= population.tolerance
             new_w = np.array(
                 [
                     compute_weight(new_thetas[j], population, kernel, prior, bool(accepted[j]))
@@ -406,38 +401,26 @@ def run_abc_smc(
                     "every refill particle received zero weight despite accepted "
                     "distances; prior and move kernel are inconsistent"
                 )
-
-            pool_thetas = np.vstack([population.thetas, new_thetas])
-            pool_w = np.concatenate([population.weights, new_w])
-            pool_q = np.concatenate([population.distances, new_q])
-            tol = adapt_tolerance(pool_q, settings.alpha)
-            keep = pool_q <= tol
-            replicates = np.vstack([replicates, new_reps])[keep]
-            population = Population(
-                thetas=pool_thetas[keep],
-                weights=pool_w[keep],
-                distances=pool_q[keep],
-                tolerance=tol,
-                generation=population.generation + 1,
+            population = retain(
+                np.vstack([population.thetas, new_thetas]),
+                np.concatenate([population.weights, new_w]),
+                np.vstack([population.replicates, new_reps]),
+                generation + 1,
+                p_acc,
             )
-            tolerances.append(tol)
-            acceptance_rates.append(p_acc)
-            report(population, p_acc, n_evaluations)
-            gen_index += 1
     finally:
         if executor is not None:
             executor.shutdown()
 
-    weights = population.weights * replicate_fractions(replicates, population.tolerance)
-    weights = weights / weights.sum()
+    weights = population.weights * replicate_fractions(population.replicates, population.tolerance)
     return PosteriorApproximation(
-        thetas=population.thetas.copy(),
-        weights=weights,
-        distances=population.distances.copy(),
-        tolerances=np.asarray(tolerances),
-        acceptance_rates=np.asarray(acceptance_rates),
-        n_evaluations=n_evaluations,
-        simulator_calls=n_evaluations * calls_per_eval,
+        thetas=population.thetas,
+        weights=weights / weights.sum(),
+        distances=population.distances,
+        tolerances=np.array([record.tolerance for record in history]),
+        history=history,
+        n_evaluations=history[-1].n_evaluations,
+        simulator_calls=history[-1].simulator_calls,
         generations=population.generation,
         stopped_by=stopped_by,
         wall_time_s=time.perf_counter() - t0,
@@ -447,9 +430,11 @@ def run_abc_smc(
 class _PathObjective:
     """Simulation shared by the objectives: ``n_paths`` paths per call.
 
-    Each process simulates in one workspace of its own, made on first use
-    and reused from call to call; it is left out of pickles, so the
-    objective sent to pool workers stays small.
+    Each copy of the objective simulates in one workspace of its own, made
+    on first use and reused from call to call. The workspace is left out of
+    pickles, so the objective sent to pool workers stays small; since every
+    ``submit`` pickles the objective anew, a worker makes one workspace per
+    submitted chunk.
     """
 
     def _simulate(self, theta, rng) -> np.ndarray:

@@ -123,6 +123,11 @@ def test_true_theta_noise_override_and_kinetics():
         ({"model": {"init": [True, 0]}}, "model.init"),
         ({"prior": {"r_g": [False, 0.5]}}, "prior.r_g"),
         ({"experiment": {"noise_levels": [True]}}, "experiment.noise_levels"),
+        ({"model": {"dt": float("nan")}}, "model.dt"),
+        ({"model": {"dt": float("inf")}}, "model.dt"),
+        ({"prior": {"r_g": [0.0, float("inf")]}}, "prior.r_g"),
+        ({"model": {"true_values": {"r_g": float("nan")}}}, "model.true_values.r_g"),
+        ({"experiment": {"noise_levels": [10**400]}}, "experiment.noise_levels"),
     ],
 )
 def test_validation_reports_field_paths(override, path):
@@ -156,8 +161,13 @@ def test_load_config_reads_yaml(tmp_path):
     assert load_config(empty).engine.n_particles == 200
     bad = tmp_path / "listroot.yaml"
     bad.write_text("- 1\n- 2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^config root must be a mapping$"):
         load_config(bad)
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("engine: [1, 2\n")
+    with pytest.raises(ConfigError, match="not valid YAML") as err:
+        load_config(broken)
+    assert err.value.path == str(broken)
 
 
 def test_dataset_file_round_trip(tmp_path):
@@ -191,6 +201,13 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one data row
     with pytest.raises(ValueError, match="missing rows"):
         io.read_dataset(path)
+    path.write_text(text + "0,3\n")
+    with pytest.raises(ValueError, match="row '0,3' does not hold three fields"):
+        io.read_dataset(path)
+    assert "# dt: 3.0\n" in text
+    path.write_text(text.replace("# dt: 3.0\n", "# dt: nan\n"))
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        io.read_dataset(path)
 
 
 def test_posterior_file_contents(tmp_path):
@@ -221,6 +238,18 @@ def test_cli_validate_config(tmp_path, capsys):
     assert main(["validate-config", "--config", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "engine.distance" in err
+    broken = tmp_path / "broken.yaml"
+    broken.write_text("engine: [1, 2\n")
+    assert main(["validate-config", "--config", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {broken}: not valid YAML")
+    listroot = tmp_path / "listroot.yaml"
+    listroot.write_text("- 1\n")
+    assert main(["validate-config", "--config", str(listroot)]) == 2
+    assert capsys.readouterr().err == "config error: config root must be a mapping\n"
+    nan_dt = tmp_path / "nan_dt.yaml"
+    nan_dt.write_text("model:\n  dt: .nan\n")
+    assert main(["validate-config", "--config", str(nan_dt)]) == 2
+    assert "model.dt" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["validate-config", "generate", "experiment"])

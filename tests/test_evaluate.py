@@ -32,7 +32,7 @@ def _posterior(thetas, weights):
         weights=weights / weights.sum(),
         distances=np.zeros(len(thetas)),
         tolerances=np.array([1.0]),
-        acceptance_rates=np.array([]),
+        history=[],
         n_evaluations=len(thetas),
         simulator_calls=len(thetas),
         generations=1,
@@ -250,6 +250,37 @@ def test_replication_failures_reach_the_replications_file(monkeypatch, tmp_path)
     meta, columns, rows = io.read_table(path)
     assert json.loads(meta["failures"]) == [[2, "RuntimeError('boom')"]]
     assert sorted({int(row[columns.index("replication")]) for row in rows}) == [0, 1, 3, 4]
+
+
+def test_predictive_draws_come_from_the_first_completed_replication(monkeypatch):
+    real = evaluate.run_replication
+    returned = {}
+
+    def flaky(*args, **kwargs):
+        rep_seed = kwargs.get("rep_seed", args[8] if len(args) > 8 else None)
+        if rep_seed == 700:
+            raise RuntimeError("boom")
+        records, returned[rep_seed] = real(*args, **kwargs)
+        return records, returned[rep_seed]
+
+    monkeypatch.setattr(evaluate, "run_replication", flaky)
+    with pytest.warns(UserWarning, match="skipped replications"):
+        cell = run_cell(
+            model=ErythroblastModel(),
+            prior=PRIOR,
+            kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
+            noise=0.2,
+            batches=3,
+            settings=QUICK,
+            sim_replicates=2,
+            macro_replications=5,
+            target_t=11,
+            n_predictive=20,
+            seed=700,
+        )
+    assert cell.failures == [(0, "RuntimeError('boom')")]
+    assert sorted(cell.predictive) == ["posterior-auxiliary", "posterior-naive", "true-model"]
+    assert cell.predictive is returned[701]
 
 
 def test_run_cell_fails_when_too_many_replications_fail(monkeypatch):

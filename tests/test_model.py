@@ -112,6 +112,9 @@ def test_nonfinite_state_reports_earliest_step():
     with pytest.raises(SimulationError) as err:
         model.simulate_paths(theta, 2, np.random.default_rng(0))
     assert err.value.step == 2
+    with pytest.raises(SimulationError) as err:
+        model.simulate_paths_multi(np.vstack([THETA_REF, theta, theta]), np.random.default_rng(0))
+    assert (err.value.path_index, err.value.step) == (1, 2)
 
 
 def test_theta_validation():
@@ -122,10 +125,16 @@ def test_theta_validation():
         model.simulate_paths(
             np.array([0.1, 1.0, 1.0, 0.01, -0.1, 0.1]), 1, np.random.default_rng(0)
         )
+    with pytest.raises(ValueError, match="shock stds"):
+        model.simulate_paths_multi(
+            np.array([THETA_REF, [0.1, 1.0, 1.0, 0.01, 0.1, -0.1]]), np.random.default_rng(0)
+        )
     with pytest.raises(ValueError):
         ErythroblastModel(horizon=0)
     with pytest.raises(ValueError):
         ErythroblastModel(dt=0.0)
+    with pytest.raises(ValueError, match="finite and positive"):
+        ErythroblastModel(dt=float("nan"))
 
 
 def test_default_prior_density_is_box_volume_reciprocal():
@@ -177,6 +186,9 @@ def test_dataset_validation():
         Dataset(states=np.zeros((2, 3)))
     with pytest.raises(ValueError):
         Dataset(states=np.zeros((2, 3, 1)), dt=0.0)
+    for dt in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Dataset(states=np.zeros((2, 3, 1)), dt=dt)
 
 
 def test_generate_dataset_is_seed_deterministic():

@@ -108,21 +108,32 @@ def test_resampling_validation():
 def test_population_validation():
     theta = np.zeros((2, 1))
     ones = np.ones(2)
+    zeros = np.zeros((2, 1))
     with pytest.raises(ValueError):
-        Population(theta, np.array([1.0, -1.0]), ones * 0.0, 0.0, 1)
+        Population(theta, np.array([1.0, -1.0]), zeros, 0.0, 1)
     with pytest.raises(ValueError):
-        Population(theta, np.zeros(2), ones * 0.0, 0.0, 1)
+        Population(theta, np.zeros(2), zeros, 0.0, 1)
     with pytest.raises(ValueError):
-        Population(theta, ones, np.array([0.0, 1.0]), 0.5, 1)
+        Population(theta, ones, np.array([[0.0], [1.0]]), 0.5, 1)
     with pytest.raises(ValueError):
-        Population(theta, np.ones(3), ones * 0.0, 0.0, 1)
+        Population(theta, np.ones(3), zeros, 0.0, 1)
+    with pytest.raises(ValueError, match="replicate rows"):
+        Population(theta, ones, np.zeros((3, 1)), 0.0, 1)
+    with pytest.raises(ValueError, match="replicate rows"):
+        Population(theta, ones, np.zeros(2), 0.0, 1)
+
+
+def test_population_distances_are_the_smallest_replicates():
+    replicates = np.array([[0.3, 0.1, 0.9], [0.5, 0.6, 0.4]])
+    pop = Population(np.zeros((2, 1)), np.ones(2), replicates, 0.5, 1)
+    np.testing.assert_array_equal(pop.distances, [0.1, 0.4])
 
 
 def test_adapt_kernel_doubles_weighted_covariance():
     pop = Population(
         thetas=np.array([[-1.0], [1.0]]),
         weights=np.ones(2),
-        distances=np.zeros(2),
+        replicates=np.zeros((2, 1)),
         tolerance=0.0,
         generation=1,
     )
@@ -178,7 +189,7 @@ def test_compute_weight_hand_case():
     pop = Population(
         thetas=np.array([[0.2], [0.4]]),
         weights=np.array([1.0, 3.0]),
-        distances=np.zeros(2),
+        replicates=np.zeros((2, 1)),
         tolerance=0.0,
         generation=1,
     )
@@ -196,7 +207,7 @@ def test_compute_weight_degenerate_and_underflow():
     pop = Population(
         thetas=np.array([[0.2]]),
         weights=np.ones(1),
-        distances=np.zeros(1),
+        replicates=np.zeros((1, 1)),
         tolerance=0.0,
         generation=1,
     )
@@ -219,7 +230,7 @@ def test_engine_stops_immediately_at_unit_threshold():
     assert posterior.stopped_by == "acceptance-rate"
     assert posterior.n_evaluations == 120
     assert posterior.tolerances.shape == (1,)
-    assert posterior.acceptance_rates.shape == (0,)
+    assert len(posterior.history) == 1
     assert len(posterior) >= 60  # floor(alpha * N)
     np.testing.assert_allclose(posterior.weights, 1.0 / len(posterior))
 
@@ -230,7 +241,9 @@ def test_engine_histories_and_counters():
         TOY_PRIOR, TOY, _toy_settings(), seed=6, progress=records.append
     )
     assert posterior.generations == len(posterior.tolerances) == len(records)
-    assert posterior.acceptance_rates.shape == (posterior.generations - 1,)
+    assert posterior.history == records
+    np.testing.assert_array_equal(posterior.tolerances, [r.tolerance for r in records])
+    acceptance_rates = np.array([r.p_acc for r in posterior.history[1:]])
     # Evaluation counter follows N + k * (N - floor(alpha N)) exactly.
     for k, record in enumerate(records):
         assert record.generation == k + 1
@@ -242,8 +255,8 @@ def test_engine_histories_and_counters():
     assert (posterior.distances <= posterior.tolerances[-1]).all()
     assert posterior.weights.sum() == pytest.approx(1.0, rel=1e-12)
     # The loop runs exactly while the acceptance rate stays above the floor.
-    assert (posterior.acceptance_rates[:-1] > 0.2).all()
-    assert posterior.acceptance_rates[-1] <= 0.2
+    assert (acceptance_rates[:-1] > 0.2).all()
+    assert acceptance_rates[-1] <= 0.2
     assert posterior.stopped_by == "acceptance-rate"
     # The toy posterior concentrates near the observed mean.
     assert posterior.weighted_mean()[0] == pytest.approx(1.2, abs=0.4)
@@ -284,7 +297,7 @@ def test_posterior_summaries():
         weights=weights,
         distances=np.zeros(3),
         tolerances=np.array([1.0]),
-        acceptance_rates=np.array([]),
+        history=[],
         n_evaluations=3,
         simulator_calls=3,
         generations=1,
