@@ -45,14 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser(
-        "generate", parents=[common], help="write a synthetic observed dataset"
-    )
+    gen = sub.add_parser("generate", parents=[common], help="write a synthetic observed dataset")
     gen.set_defaults(func=cmd_generate)
 
-    infer = sub.add_parser(
-        "infer", parents=[common], help="fit one posterior to a dataset file"
-    )
+    infer = sub.add_parser("infer", parents=[common], help="fit one posterior to a dataset file")
     infer.add_argument("--data", type=Path, required=True, help="dataset file to fit")
     infer.add_argument(
         "--method",
@@ -63,15 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--workers", type=int, default=None, help="evaluation processes")
     infer.set_defaults(func=cmd_infer)
 
-    exp = sub.add_parser(
-        "experiment", parents=[common], help="run the configured comparison grid"
-    )
+    exp = sub.add_parser("experiment", parents=[common], help="run the configured comparison grid")
     exp.add_argument("--workers", type=int, default=None, help="evaluation processes")
     exp.set_defaults(func=cmd_experiment)
 
-    val = sub.add_parser(
-        "validate-config", parents=[common], help="check a config file and exit"
-    )
+    val = sub.add_parser("validate-config", parents=[common], help="check a config file and exit")
     val.set_defaults(func=cmd_validate)
     return parser
 
@@ -105,6 +97,8 @@ def _workers(args) -> int:
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
         return args.workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 

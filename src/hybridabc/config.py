@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .model import PARAM_NAMES, TRUE_KINETICS, ErythroblastModel, Prior
 from .smc import SmcSettings
@@ -183,6 +182,9 @@ def load_config(path: str | Path | None, preset: str = "desk") -> ExperimentConf
     """Read a YAML config file (optional) on top of a preset."""
     overrides = None
     if path is not None:
+        # Imported here: only a config file needs the YAML parser.
+        import yaml
+
         try:
             overrides = yaml.safe_load(Path(path).read_text())
         except yaml.YAMLError as exc:

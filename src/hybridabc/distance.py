@@ -112,18 +112,30 @@ def auxiliary_distance(observed: np.ndarray, simulated: np.ndarray, weight: np.n
     return float(np.sqrt(np.dot(diff, diff)))
 
 
-def _mean_pair_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mean Euclidean distance over all row pairs of ``a`` (..., m, k) and ``b``."""
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row of ``a`` (..., m, k)."""
+    return np.einsum("...ik,...ik->...i", a, a)
+
+
+def _mean_pair_distance(a, b, a_sq, b_sq) -> np.ndarray:
+    """Mean distance over all row pairs of ``a`` and ``b``, given their squared row norms."""
     sq = np.matmul(a, np.swapaxes(b, -1, -2))
     sq *= -2.0
-    sq += np.einsum("...ik,...ik->...i", a, a)[..., :, None]
-    sq += np.einsum("...jk,...jk->...j", b, b)[..., None, :]
+    sq += a_sq[..., :, None]
+    sq += b_sq[..., None, :]
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
     return sq.reshape(sq.shape[:-2] + (-1,)).mean(axis=-1)
 
 
-def naive_distance(observed: Dataset, simulated: Dataset) -> np.ndarray:
+def observed_energy_terms(observed: Dataset) -> tuple[np.ndarray, float]:
+    """The observed paths' squared norms and E|X - X'|: ``naive_distance``'s fixed part."""
+    x = observed.states.reshape(len(observed), -1)
+    x_sq = _sq_norms(x)
+    return x_sq, _mean_pair_distance(x, x, x_sq, x_sq)
+
+
+def naive_distance(observed: Dataset, simulated: Dataset, observed_terms=None) -> np.ndarray:
     """Energy distance between the observed and each batch of simulated paths.
 
     Each trajectory is one point in R^((H + 1) d_x). The simulated paths are
@@ -132,6 +144,7 @@ def naive_distance(observed: Dataset, simulated: Dataset) -> np.ndarray:
     sqrt(2 E|X - Y| - E|X - X'| - E|Y - Y'|), every mean over all m^2
     pairs (Szekely & Rizzo 2013). It is zero when the two sets coincide and
     grows as they differ anywhere in distribution, not only in the mean.
+    Passing ``observed_energy_terms(observed)`` spares recomputing them.
 
     The results depend on the memory layout of ``simulated.states``, because
     ``matmul`` takes its BLAS path or its no-BLAS loop by stride: at seed 11
@@ -149,7 +162,12 @@ def naive_distance(observed: Dataset, simulated: Dataset) -> np.ndarray:
         raise ValueError(
             f"{len(simulated)} simulated paths do not split into batches of {m}"
         )
+    if observed_terms is None:
+        observed_terms = observed_energy_terms(observed)
+    x_sq, within_observed = observed_terms
     x = observed.states.reshape(m, -1)
     y = simulated.states.reshape(len(simulated) // m, m, -1)
-    energy = 2.0 * _mean_pair_distance(y, x) - _mean_pair_distance(x, x) - _mean_pair_distance(y, y)
+    y_sq = _sq_norms(y)
+    cross = _mean_pair_distance(y, x, y_sq, x_sq)
+    energy = 2.0 * cross - within_observed - _mean_pair_distance(y, y, y_sq, y_sq)
     return np.sqrt(np.maximum(energy, 0.0))

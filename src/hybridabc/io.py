@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,8 @@ def read_dataset(path) -> Dataset:
         i, t, value = int(row[0]), int(row[1]), float(row[2])
         if not (0 <= i < m and 0 <= t <= horizon):
             raise ValueError(f"{path}: row ({i}, {t}) outside the declared shape")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: row ({i}, {t}) holds the non-finite value {row[2]!r}")
         if not np.isnan(states[i, t, 0]):
             raise ValueError(f"{path}: row ({i}, {t}) appears more than once")
         states[i, t, 0] = value

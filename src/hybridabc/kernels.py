@@ -70,8 +70,10 @@ def aux_summary_1d(x: np.ndarray) -> np.ndarray:
     regression weights of centered step t + 1 on centered step t, and the T
     marginal stds (maximum-likelihood, divisor n), in that order.
     """
-    # Time-major copy: every reduction below runs along contiguous rows.
-    xt = np.ascontiguousarray(np.asarray(x, dtype=float).T)
+    # Every reduction below runs along contiguous time-major rows; the
+    # workspace's (n, T) view has them already, other inputs are copied.
+    xt = np.asarray(x, dtype=float).T
+    xt = xt if xt.strides[1] == xt.itemsize else np.ascontiguousarray(xt)
     n = xt.shape[1]
     mu = xt.sum(axis=1) / n
     xc = xt - mu[:, None]

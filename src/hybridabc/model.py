@@ -58,6 +58,7 @@ class Prior:
             raise ValueError(f"prior lower bound must be below upper bound for {bad}")
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
+        object.__setattr__(self, "_inside", float(1.0 / np.prod(highs - lows)))
 
     @property
     def dim(self) -> int:
@@ -73,9 +74,7 @@ class Prior:
         return bool((theta >= self.lows).all() and (theta <= self.highs).all())
 
     def density(self, theta: np.ndarray) -> float:
-        if not self.contains(theta):
-            return 0.0
-        return float(1.0 / np.prod(self.highs - self.lows))
+        return self._inside if self.contains(theta) else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,10 +16,26 @@ STREAM_TRUE_PREDICTIVE = 11
 STREAM_POSTERIOR_PREDICTIVE = 12
 
 
+def _words(value: int) -> bytes:
+    """The 32-bit words of ``value``, least significant first, as bytes."""
+    value = int(value)
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return value.to_bytes(4 * ((value.bit_length() + 31) // 32 or 1), "little")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
-    """Generator for ``path`` under ``seed``, independent of creation order."""
-    key = tuple(int(p) for p in path)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    """Generator for ``path`` under ``seed``, independent of creation order.
+
+    It is ``default_rng(SeedSequence(seed, spawn_key=path))``, children
+    included, seeded with the words numpy assembles for that pair (the
+    seed's, zero-padded to 4 when a path follows, then the path's) as one
+    uint32 array, which skips numpy's per-word coercion of the key.
+    """
+    entropy = _words(seed)
+    if path:
+        entropy = entropy.ljust(16, b"\0") + b"".join(map(_words, path))
+    return np.random.default_rng(np.random.SeedSequence(np.frombuffer(entropy, "<u4")))
 
 
 def normalize_rng(rng) -> np.random.Generator:

@@ -208,6 +208,11 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
     path.write_text(text.replace("# dt: 3.0\n", "# dt: nan\n"))
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         io.read_dataset(path)
+    last = lines[-1].rsplit(",", 1)[0]
+    for bad in ("inf", "nan"):
+        path.write_text("\n".join(lines[:-1] + [f"{last},{bad}"]) + "\n")
+        with pytest.raises(ValueError, match=rf"row \(1, 4\) holds the non-finite value '{bad}'"):
+            io.read_dataset(path)
 
 
 def test_posterior_file_contents(tmp_path):
@@ -227,6 +232,19 @@ def test_posterior_file_contents(tmp_path):
     weights = np.array([float(r[1]) for r in rows])
     assert weights.sum() == pytest.approx(1.0, rel=1e-9)
     assert len(rows) == len(posterior)
+
+
+def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
+    from argparse import Namespace
+
+    from hybridabc import cli
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._workers(Namespace(workers=None)) == 1
+    assert cli._workers(Namespace(workers=3)) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._workers(Namespace(workers=None)) == 8
 
 
 def test_cli_validate_config(tmp_path, capsys):

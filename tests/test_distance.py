@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from helpers import sample_lgdbn
-from hybridabc.distance import auxiliary_distance, information_weight, naive_distance
+from hybridabc.distance import (
+    auxiliary_distance,
+    information_weight,
+    naive_distance,
+    observed_energy_terms,
+)
 from hybridabc.lgdbn import summarize
 from hybridabc.model import Dataset, generate_dataset
 
@@ -161,3 +166,36 @@ def test_trajectory_energy_sees_spread_not_only_the_mean():
     np.testing.assert_allclose(wide.states.mean(axis=0), 0.0, atol=1e-12)
     d = naive_distance(observed, wide)
     assert d[0] > 0.5 and d[1] == pytest.approx(0.0, abs=1e-6)
+
+
+def _mean_pair_from_scratch(a, b):
+    sq = np.matmul(a, np.swapaxes(b, -1, -2))
+    sq *= -2.0
+    sq += np.einsum("...ik,...ik->...i", a, a)[..., :, None]
+    sq += np.einsum("...jk,...jk->...j", b, b)[..., None, :]
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    return sq.reshape(sq.shape[:-2] + (-1,)).mean(axis=-1)
+
+
+@pytest.mark.parametrize("m", [3, 6, 20])
+def test_naive_distance_with_cached_observed_terms_is_bit_identical(m):
+    # The objective's layout: the density column of a C-contiguous
+    # (n, H + 1, 2) array, L = 5 batches.
+    rng = np.random.default_rng(m)
+    observed = Dataset(states=rng.normal(3.0, 1.0, (m, 11, 1)))
+    both = np.ascontiguousarray(rng.normal(3.0, 1.0, (5 * m, 11, 2)))
+    simulated = Dataset(states=both[:, :, :1])
+    x = observed.states.reshape(m, -1)
+    y = simulated.states.reshape(5, m, -1)
+    energy = (
+        2.0 * _mean_pair_from_scratch(y, x)
+        - _mean_pair_from_scratch(x, x)
+        - _mean_pair_from_scratch(y, y)
+    )
+    want = np.sqrt(np.maximum(energy, 0.0)).view(np.int64)
+    terms = observed_energy_terms(observed)
+    cached = naive_distance(observed, simulated, terms)
+    np.testing.assert_array_equal(cached.view(np.int64), want)
+    np.testing.assert_array_equal(naive_distance(observed, simulated).view(np.int64), want)
+    np.testing.assert_array_equal(terms[0], np.einsum("ik,ik->i", x, x))

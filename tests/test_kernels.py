@@ -44,6 +44,18 @@ def test_summary_constant_column_regresses_to_zero():
     assert eta[2 * T - 1 + 1] == 0.0  # its spread
 
 
+def test_summary_reads_a_step_major_view_like_its_copy():
+    # The workspace hands over the (n, T) view of a (T, 2, n) buffer: its
+    # time-major rows are contiguous and read in place. The result is the
+    # one a contiguous copy of the same paths gives, bit for bit.
+    rng = np.random.default_rng(4)
+    buffer = rng.normal(3.0, 1.0, (11, 2, 600))
+    view = buffer.transpose(2, 0, 1)[:, :, 0]
+    in_place = kernels.aux_summary_1d(view)
+    copied = kernels.aux_summary_1d(np.ascontiguousarray(view))
+    np.testing.assert_array_equal(in_place.view(np.int64), copied.view(np.int64))
+
+
 def _reference_recurrence(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
     """The recurrence with the gate written as the logistic of k_s (k_c - I)."""
     n, steps, _ = eps.shape

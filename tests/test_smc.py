@@ -11,6 +11,7 @@ from helpers import (
     ToyNormalObjective,
 )
 from hybridabc import rng as rng_mod
+from hybridabc import smc as smc_mod
 from hybridabc.config import build_config
 from hybridabc.distance import auxiliary_distance, naive_distance
 from hybridabc.lgdbn import summarize
@@ -194,12 +195,13 @@ def test_compute_weight_hand_case():
         generation=1,
     )
     kernel = PerturbationKernel(covariance=np.array([[0.01]]))
-    theta = np.array([0.3])
+    thetas = np.array([[0.3], [0.3], [2.0]])
     mixture = 0.25 * _norm_pdf(0.3, 0.2, 0.01) + 0.75 * _norm_pdf(0.3, 0.4, 0.01)
-    got = compute_weight(theta, pop, kernel, prior, accepted=True)
-    assert got == pytest.approx(1.0 / mixture, rel=1e-12)
-    assert compute_weight(theta, pop, kernel, prior, accepted=False) == 0.0
-    assert compute_weight(np.array([2.0]), pop, kernel, prior, accepted=True) == 0.0
+    got = compute_weight(thetas, pop, kernel, prior, np.array([True, False, True]))
+    assert got.shape == (3,)
+    assert got[0] == pytest.approx(1.0 / mixture, rel=1e-12)
+    assert got[1] == 0.0  # not accepted
+    assert got[2] == 0.0  # outside the prior
 
 
 def test_compute_weight_degenerate_and_underflow():
@@ -212,10 +214,72 @@ def test_compute_weight_degenerate_and_underflow():
         generation=1,
     )
     spike = PerturbationKernel(covariance=np.array([[0.0]]))
-    assert compute_weight(np.array([0.2]), pop, spike, prior, accepted=True) == 0.0
+    assert compute_weight(np.array([[0.2]]), pop, spike, prior, np.array([True]))[0] == 0.0
     narrow = PerturbationKernel(covariance=np.array([[1e-30]]))
     with pytest.raises(RuntimeError):
-        compute_weight(np.array([0.9]), pop, narrow, prior, accepted=True)
+        compute_weight(np.array([[0.9]]), pop, narrow, prior, np.array([True]))
+
+
+def _one_weight(theta, previous, kernel, prior, accepted):
+    """The importance weight of one refill, computed on its own."""
+    numerator = prior.density(theta) if accepted else 0.0
+    if numerator == 0.0:
+        return 0.0
+    diff = previous.thetas - theta
+    if kernel._chol is None:
+        densities = np.where((diff == 0).all(axis=1), np.inf, 0.0)
+    else:
+        y = np.linalg.solve(kernel._chol, diff.T)
+        densities = np.exp(kernel._log_norm - 0.5 * (y * y).sum(axis=0))
+    mixture = previous.normalized_weights() @ densities
+    if np.isinf(mixture):
+        return 0.0
+    if mixture <= 0.0:
+        raise RuntimeError("underflow")
+    return float(numerator / mixture)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n_refills", [2, smc_mod._WEIGHT_BLOCK, 3 * smc_mod._WEIGHT_BLOCK + 5])
+def test_blocked_compute_weight_matches_one_particle_at_a_time(n_refills):
+    rng = np.random.default_rng(n_refills)
+    middle = (PRIOR.lows + PRIOR.highs) / 2.0
+    width = PRIOR.highs - PRIOR.lows
+    centers = rng.uniform(middle - width / 4.0, middle + width / 4.0, (37, 6))
+    pop = Population(centers, rng.uniform(0.0, 2.0, 37), np.zeros((37, 1)), 0.0, 3)
+    kernel = adapt_kernel(pop)
+    moves = rng.normal(0.0, 0.05, (n_refills, 6)) * width
+    thetas = centers[rng.integers(0, 37, n_refills)] + moves
+    thetas[::4] = PRIOR.highs + 1.0  # outside the prior: zero numerator
+    accepted = np.arange(n_refills) % 3 != 2  # not accepted: zero numerator
+    got = compute_weight(thetas, pop, kernel, PRIOR, accepted)
+    want = [_one_weight(t, pop, kernel, PRIOR, a) for t, a in zip(thetas, accepted)]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert (got > 0.0).any() and (got == 0.0).any()
+
+
+def test_blocked_compute_weight_with_a_singular_kernel():
+    prior = Prior(names=("a", "b"), lows=np.zeros(2), highs=np.ones(2))
+    centers = np.array([[0.2, 0.5], [0.4, 0.5], [0.6, 0.5]])
+    pop = Population(centers, np.array([1.0, 2.0, 1.0]), np.zeros((3, 1)), 0.0, 2)
+    kernel = PerturbationKernel(covariance=np.array([[0.01, 0.0], [0.0, 0.0]]))
+    assert kernel._chol is None
+    # On a center the mixture density is infinite and the weight 0.
+    thetas = np.repeat(centers, 7, axis=0)
+    accepted = np.ones(len(thetas), dtype=bool)
+    got = compute_weight(thetas, pop, kernel, prior, accepted)
+    want = [_one_weight(t, pop, kernel, prior, True) for t in thetas]
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert not got.any()
+    # Off every center it is 0 and both forms raise.
+    off = np.vstack([thetas, [[0.3, 0.5]]])
+    with pytest.raises(RuntimeError):
+        _one_weight(off[-1], pop, kernel, prior, True)
+    with pytest.raises(RuntimeError, match="underflowed"):
+        compute_weight(off, pop, kernel, prior, np.ones(len(off), dtype=bool))
 
 
 def _toy_settings(**overrides):
