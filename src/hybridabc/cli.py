@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import PRESETS, ConfigError, ExperimentConfig, load_config
 from .model import PARAM_NAMES, generate_dataset
 from .rng import STREAM_OBSERVED, substream
-from .smc import run_inference
+from .smc import OBJECTIVES, run_inference
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument("--data", type=Path, required=True, help="dataset file to fit")
     infer.add_argument(
         "--method",
-        choices=("auxiliary", "naive"),
+        choices=tuple(OBJECTIVES),
         default=None,
         help="distance to use (default: engine.distance from the config)",
     )
@@ -238,12 +238,12 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    cfg, seed, _ = _load(args)
+    cfg, seed, echo = _load(args)
     cells = len(cfg.noise_levels) * len(cfg.batch_sizes)
     print(
         f"ok: seed {seed}, N={cfg.engine.n_particles}, alpha={cfg.engine.alpha}, "
         f"L={cfg.sim_replicates}, grid of {cells} cell(s), "
-        f"R={cfg.macro_replications}, output {cfg.output_dir!r}"
+        f"R={cfg.macro_replications}, output {echo['output_dir']!r}"
     )
     return 0
 

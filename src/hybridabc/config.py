@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .model import PARAM_NAMES, TRUE_KINETICS, ErythroblastModel, Prior
-from .smc import SmcSettings
+from .smc import OBJECTIVES, SmcSettings
 
 
 class ConfigError(ValueError):
@@ -155,12 +155,8 @@ class ExperimentConfig:
             horizon=self.horizon,
         )
 
-    def true_theta(self, noise: float | None = None) -> np.ndarray:
-        values = dict(self.true_values)
-        if noise is not None:
-            values["v_rho"] = noise
-            values["v_I"] = noise
-        return np.array([values[name] for name in PARAM_NAMES])
+    def true_theta(self) -> np.ndarray:
+        return np.array([self.true_values[name] for name in PARAM_NAMES])
 
     def kinetics(self) -> np.ndarray:
         return np.array([self.true_values[name] for name in PARAM_NAMES[:4]])
@@ -203,15 +199,9 @@ def _validate(cfg: dict) -> ExperimentConfig:
 
     model = _expect(cfg, "model", dict, "")
     _reject_unknown(model, {"true_values", "init", "dt", "horizon", "batches"}, "model")
-    true_values = _expect(model, "true_values", dict, "model")
-    for name in PARAM_NAMES:
-        if name not in true_values:
-            raise ConfigError(f"model.true_values.{name}", "missing")
-        if not _is_number(true_values[name]):
-            raise ConfigError(f"model.true_values.{name}", "expected a number")
-    for name in true_values:
-        if name not in PARAM_NAMES:
-            raise ConfigError(f"model.true_values.{name}", "unknown parameter")
+    true_block = _expect(model, "true_values", dict, "model")
+    _reject_unknown(true_block, PARAM_NAMES, "model.true_values")
+    true_values = {n: _expect(true_block, n, float, "model.true_values") for n in PARAM_NAMES}
     init = _expect(model, "init", list, "model")
     if len(init) != 2 or not all(_is_number(v) for v in init):
         raise ConfigError("model.init", "expected two numbers (density, inhibitor)")
@@ -226,20 +216,11 @@ def _validate(cfg: dict) -> ExperimentConfig:
         raise ConfigError("model.batches", "must be at least 1")
 
     prior_block = _expect(cfg, "prior", dict, "")
-    for name in PARAM_NAMES:
-        if name not in prior_block:
-            raise ConfigError(f"prior.{name}", "missing")
-    for name in prior_block:
-        if name not in PARAM_NAMES:
-            raise ConfigError(f"prior.{name}", "unknown parameter")
+    _reject_unknown(prior_block, PARAM_NAMES, "prior")
     lows, highs = [], []
     for name in PARAM_NAMES:
-        bounds = prior_block[name]
-        if (
-            not isinstance(bounds, list)
-            or len(bounds) != 2
-            or not all(_is_number(v) for v in bounds)
-        ):
+        bounds = _expect(prior_block, name, list, "prior")
+        if len(bounds) != 2 or not all(_is_number(v) for v in bounds):
             raise ConfigError(f"prior.{name}", "expected [low, high]")
         if not bounds[0] < bounds[1]:
             raise ConfigError(f"prior.{name}", "low must be below high")
@@ -268,8 +249,8 @@ def _validate(cfg: dict) -> ExperimentConfig:
     max_generations = _expect(engine, "max_generations", int, "engine")
     if sim_replicates < 1:
         raise ConfigError("engine.sim_replicates", "must be at least 1")
-    if distance not in ("auxiliary", "naive"):
-        raise ConfigError("engine.distance", "expected 'auxiliary' or 'naive'")
+    if distance not in OBJECTIVES:
+        raise ConfigError("engine.distance", f"expected {' or '.join(map(repr, OBJECTIVES))}")
     try:
         settings = SmcSettings(
             n_particles=n_particles,
@@ -307,7 +288,7 @@ def _validate(cfg: dict) -> ExperimentConfig:
     return ExperimentConfig(
         seed=seed,
         output_dir=output_dir,
-        true_values={k: float(v) for k, v in true_values.items()},
+        true_values=true_values,
         init=(float(init[0]), float(init[1])),
         dt=dt,
         horizon=horizon,

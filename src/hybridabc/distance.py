@@ -135,7 +135,7 @@ def observed_energy_terms(observed: Dataset) -> tuple[np.ndarray, float]:
     return x_sq, _mean_pair_distance(x, x, x_sq, x_sq)
 
 
-def naive_distance(observed: Dataset, simulated: Dataset, observed_terms=None) -> np.ndarray:
+def naive_distance(observed: Dataset, simulated: Dataset, observed_terms) -> np.ndarray:
     """Energy distance between the observed and each batch of simulated paths.
 
     Each trajectory is one point in R^((H + 1) d_x). The simulated paths are
@@ -144,7 +144,7 @@ def naive_distance(observed: Dataset, simulated: Dataset, observed_terms=None) -
     sqrt(2 E|X - Y| - E|X - X'| - E|Y - Y'|), every mean over all m^2
     pairs (Szekely & Rizzo 2013). It is zero when the two sets coincide and
     grows as they differ anywhere in distribution, not only in the mean.
-    Passing ``observed_energy_terms(observed)`` spares recomputing them.
+    ``observed_terms`` is ``observed_energy_terms(observed)``.
 
     The results depend on the memory layout of ``simulated.states``, because
     ``matmul`` takes its BLAS path or its no-BLAS loop by stride: at seed 11
@@ -162,8 +162,6 @@ def naive_distance(observed: Dataset, simulated: Dataset, observed_terms=None) -
         raise ValueError(
             f"{len(simulated)} simulated paths do not split into batches of {m}"
         )
-    if observed_terms is None:
-        observed_terms = observed_energy_terms(observed)
     x_sq, within_observed = observed_terms
     x = observed.states.reshape(m, -1)
     y = simulated.states.reshape(len(simulated) // m, m, -1)

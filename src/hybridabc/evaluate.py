@@ -27,9 +27,7 @@ from .rng import (
     STREAM_TRUE_PREDICTIVE,
     substream,
 )
-from .smc import PosteriorApproximation, SmcSettings, run_inference
-
-METHODS = ("auxiliary", "naive")
+from .smc import OBJECTIVES, PosteriorApproximation, SmcSettings, run_inference
 
 #: Columns of the grid tables in file order: the keys of each
 #: ``CellResult.ks_summary`` row and of ``CellResult.ratio_summary``.
@@ -133,7 +131,7 @@ class CellResult:
     def ks_summary(self) -> list[dict]:
         """CI rows per (method, state)."""
         rows = []
-        for method in METHODS:
+        for method in OBJECTIVES:
             records = self.method_records(method)
             if not records:
                 continue
@@ -186,7 +184,7 @@ def run_replication(
     )
     records = {}
     predictive = {"true-model": true_pred}
-    for method in METHODS:
+    for method in OBJECTIVES:
         method_progress = (lambda rec, m=method: progress(m, rec)) if progress else None
         t0 = time.perf_counter()
         posterior = run_inference(
@@ -263,7 +261,7 @@ def run_cell(
             result.failures.append((r, repr(exc)))
             continue
         ratio = records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
-        for method in METHODS:
+        for method in OBJECTIVES:
             rec = records[method]
             result.records.append(
                 ReplicationRecord(

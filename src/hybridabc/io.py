@@ -105,17 +105,27 @@ def read_dataset(path) -> Dataset:
     meta, columns, raw = read_table(path)
     if columns != ["trajectory", "t", "rho"]:
         raise ValueError(f"{path} is not a dataset file (columns {columns})")
-    for key in ("trajectories", "horizon", "dt"):
+    header = {}
+    for key, kind in (("trajectories", int), ("horizon", int), ("dt", float)):
         if key not in meta:
             raise ValueError(f"{path} is missing the {key} header")
-    m = int(meta["trajectories"])
-    horizon = int(meta["horizon"])
-    dt = float(meta["dt"])
+        where = f"{path}: the {key} header"
+        try:
+            header[key] = kind(meta[key])
+        except ValueError:
+            raise ValueError(f"{where} {meta[key]!r} is not {kind.__name__}") from None
+        if kind is int and header[key] < 1:
+            raise ValueError(f"{where} must be at least 1, got {header[key]}")
+    m, horizon, dt = header.values()
     states = np.full((m, horizon + 1, 1), np.nan)
     for row in raw:
+        where = f"{path}: row {','.join(row)!r}"
         if len(row) != 3:
-            raise ValueError(f"{path}: row {','.join(row)!r} does not hold three fields")
-        i, t, value = int(row[0]), int(row[1]), float(row[2])
+            raise ValueError(f"{where} does not hold three fields")
+        try:
+            i, t, value = int(row[0]), int(row[1]), float(row[2])
+        except ValueError:
+            raise ValueError(f"{where} does not hold two integers and a number") from None
         if not (0 <= i < m and 0 <= t <= horizon):
             raise ValueError(f"{path}: row ({i}, {t}) outside the declared shape")
         if not math.isfinite(value):

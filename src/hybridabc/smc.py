@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,21 +240,24 @@ def adapt_kernel(population: Population) -> PerturbationKernel:
     return PerturbationKernel(covariance=cov)
 
 
+#: Kernel draws ``perturb`` makes before it gives up on a particle.
+_MAX_PERTURB_TRIES = 1000
+
+
 def perturb(
     theta_star: np.ndarray,
     kernel: PerturbationKernel,
     prior: Prior,
     rng: np.random.Generator,
-    max_tries: int = 1000,
 ) -> np.ndarray:
     """Gaussian move around ``theta_star``, redrawn until inside the prior."""
-    for _ in range(max_tries):
+    for _ in range(_MAX_PERTURB_TRIES):
         candidate = theta_star + kernel.sample(rng)
         if prior.density(candidate) > 0.0:
             return candidate
     raise RuntimeError(
         f"no perturbation of particle {np.asarray(theta_star)} landed inside "
-        f"the prior support after {max_tries} tries"
+        f"the prior support after {_MAX_PERTURB_TRIES} tries"
     )
 
 
@@ -456,29 +459,29 @@ class _PathObjective:
     submitted chunk.
     """
 
+    def __init__(self, model, observed: Dataset, sim_replicates: int):
+        if sim_replicates < 1:
+            raise ValueError("sim_replicates must be positive")
+        self.model = model
+        self.n_paths = self.calls_per_evaluation = len(observed) * sim_replicates
+        self._workspace = None
+
     def _simulate(self, theta, rng) -> np.ndarray:
-        workspace = self.__dict__.get("_workspace")
-        if workspace is None:
-            workspace = self.model.workspace(self.n_paths)
-            object.__setattr__(self, "_workspace", workspace)
-        return self.model.simulate_paths(theta, self.n_paths, rng, workspace)
+        if self._workspace is None:
+            self._workspace = self.model.workspace(self.n_paths)
+        return self.model.simulate_paths(theta, self.n_paths, rng, self._workspace)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_workspace"}
-
-    @property
-    def calls_per_evaluation(self) -> int:
-        return self.n_paths
+        return dict(self.__dict__, _workspace=None)
 
 
-@dataclass(frozen=True, eq=False)
 class AuxiliaryObjective(_PathObjective):
     """Information-weighted distance between fitted summaries."""
 
-    model: object
-    n_paths: int
-    observed_summary: np.ndarray
-    weight: np.ndarray
+    def __init__(self, model, observed: Dataset, sim_replicates: int):
+        super().__init__(model, observed, sim_replicates)
+        self.observed_summary = summarize(observed)
+        self.weight = information_weight(self.observed_summary, len(observed))
 
     def __call__(self, theta, rng) -> float:
         states = self._simulate(theta, rng)
@@ -486,17 +489,13 @@ class AuxiliaryObjective(_PathObjective):
         return auxiliary_distance(self.observed_summary, summarize(simulated), self.weight)
 
 
-@dataclass(frozen=True, eq=False)
 class NaiveObjective(_PathObjective):
     """Energy distances between the observed and each batch of simulated paths."""
 
-    model: object
-    n_paths: int
-    observed: Dataset
-    observed_terms: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "observed_terms", observed_energy_terms(self.observed))
+    def __init__(self, model, observed: Dataset, sim_replicates: int):
+        super().__init__(model, observed, sim_replicates)
+        self.observed = observed
+        self.observed_terms = observed_energy_terms(observed)
 
     def __call__(self, theta, rng) -> np.ndarray:
         # naive_distance's results depend on the memory layout of its input,
@@ -506,22 +505,8 @@ class NaiveObjective(_PathObjective):
         return naive_distance(self.observed, simulated, self.observed_terms)
 
 
-def build_objective(model, observed: Dataset, method: str, sim_replicates: int):
-    """Distance objective for ``method``, simulating m * L paths per particle."""
-    if sim_replicates < 1:
-        raise ValueError("sim_replicates must be positive")
-    n_paths = len(observed) * sim_replicates
-    if method == "auxiliary":
-        eta_obs = summarize(observed)
-        return AuxiliaryObjective(
-            model=model,
-            n_paths=n_paths,
-            observed_summary=eta_obs,
-            weight=information_weight(eta_obs, len(observed)),
-        )
-    if method == "naive":
-        return NaiveObjective(model=model, n_paths=n_paths, observed=observed)
-    raise ValueError(f"unknown method {method!r}; expected 'auxiliary' or 'naive'")
+#: Distance objectives by method name, in the order a study runs them.
+OBJECTIVES = {"auxiliary": AuxiliaryObjective, "naive": NaiveObjective}
 
 
 def run_inference(
@@ -536,5 +521,8 @@ def run_inference(
     progress=None,
 ) -> PosteriorApproximation:
     """Infer the posterior for one observed dataset with one method."""
-    objective = build_objective(model, observed, method, sim_replicates)
+    if method not in OBJECTIVES:
+        expected = " or ".join(map(repr, OBJECTIVES))
+        raise ValueError(f"unknown method {method!r}; expected {expected}")
+    objective = OBJECTIVES[method](model, observed, sim_replicates)
     return run_abc_smc(prior, objective, settings, seed, workers=workers, progress=progress)

@@ -14,10 +14,10 @@ import pytest
 
 import hybridabc
 from hybridabc import io
-from hybridabc.cli import main
+from hybridabc.cli import build_parser, main
 from hybridabc.config import PRESETS, ConfigError, build_config, load_config
 from hybridabc.model import generate_dataset
-from hybridabc.smc import GenerationRecord, SmcSettings, run_abc_smc
+from hybridabc.smc import OBJECTIVES, GenerationRecord, SmcSettings, run_abc_smc
 
 TINY_ENGINE = textwrap.dedent(
     """
@@ -86,9 +86,9 @@ def test_overrides_merge_deeply():
 
 
 def test_true_theta_noise_override_and_kinetics():
-    cfg = build_config()
-    theta = cfg.true_theta(0.2)
-    np.testing.assert_allclose(theta[4:], [0.2, 0.2])
+    cfg = build_config({"model": {"true_values": {"v_rho": 0.2, "v_I": 0.3}}})
+    theta = cfg.true_theta()
+    np.testing.assert_allclose(theta[4:], [0.2, 0.3])
     np.testing.assert_allclose(theta[:4], cfg.kinetics())
     model = cfg.build_model()
     assert model.horizon == 10 and model.dt == 3.0
@@ -170,6 +170,11 @@ def test_load_config_reads_yaml(tmp_path):
     assert err.value.path == str(broken)
 
 
+def test_example_config_holds_the_defaults():
+    example = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+    assert load_config(example).raw == build_config().raw
+
+
 def test_dataset_file_round_trip(tmp_path):
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     dataset = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=5)
@@ -213,6 +218,26 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
         path.write_text("\n".join(lines[:-1] + [f"{last},{bad}"]) + "\n")
         with pytest.raises(ValueError, match=rf"row \(1, 4\) holds the non-finite value '{bad}'"):
             io.read_dataset(path)
+    # Every parse failure names the file and the row or the header key.
+    first = lines.index("0,0,3.0")
+    for row in ("0,three,3.0", "0,0,x3.0"):
+        path.write_text("\n".join(lines[:first] + [row] + lines[first + 1 :]) + "\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(path))}: row '{row}' does not hold two integers"
+        ):
+            io.read_dataset(path)
+    for header, message in (
+        ("# horizon: ten", "the horizon header 'ten' is not int"),
+        ("# dt: abc", "the dt header 'abc' is not float"),
+        ("# trajectories: -1", "the trajectories header must be at least 1, got -1"),
+        ("# horizon: 0", "the horizon header must be at least 1, got 0"),
+    ):
+        key = header.split(":")[0]
+        edited = [header if line.startswith(key + ":") else line for line in lines]
+        assert edited != lines
+        path.write_text("\n".join(edited) + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            io.read_dataset(path)
 
 
 def test_posterior_file_contents(tmp_path):
@@ -250,7 +275,10 @@ def test_default_workers_count_the_cpus_this_process_may_use(monkeypatch):
 def test_cli_validate_config(tmp_path, capsys):
     assert main(["validate-config"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("ok:")
+    assert out.startswith("ok: seed 20260822,") and out.endswith(", output 'out'\n")
+    assert main(["validate-config", "--out", "foo", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("ok: seed 5,") and out.endswith(", output 'foo'\n")
     bad = tmp_path / "bad.yaml"
     bad.write_text("engine:\n  distance: fancy\n")
     assert main(["validate-config", "--config", str(bad)]) == 2
@@ -435,6 +463,18 @@ def test_declared_dependencies_are_installed_and_import():
         for module in modules[name]:
             if not module.startswith("_"):
                 importlib.import_module(module)
+
+
+def test_methods_are_the_objective_registry_in_study_order():
+    # A study runs the auxiliary route first, then the naive one.
+    assert tuple(OBJECTIVES) == ("auxiliary", "naive")
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    method = next(a for a in commands.choices["infer"]._actions if a.dest == "method")
+    assert tuple(method.choices) == tuple(OBJECTIVES)
+    for name in OBJECTIVES:
+        assert build_config({"engine": {"distance": name}}).distance == name
+    with pytest.raises(ConfigError, match="expected 'auxiliary' or 'naive'"):
+        build_config({"engine": {"distance": "fancy"}})
 
 
 def test_naive_variant_and_batch_size_choices():

@@ -131,15 +131,18 @@ def test_naive_distance_frozen_example():
     # Every path is constant, 1 observed against 2 simulated, over 11 time
     # points: E|X - Y| = sqrt(11) and both within-set terms are 0.
     ones = np.ones((3, 11, 1))
-    d = naive_distance(Dataset(states=ones), Dataset(states=2.0 * ones))
+    observed = Dataset(states=ones)
+    d = naive_distance(observed, Dataset(states=2.0 * ones), observed_energy_terms(observed))
     np.testing.assert_allclose(d, [np.sqrt(2.0 * np.sqrt(11.0))], rtol=1e-15)
 
 
 def test_naive_distance_rejects_shape_mismatch():
+    observed = Dataset(states=np.ones((2, 4, 1)))
+    terms = observed_energy_terms(observed)
     with pytest.raises(ValueError):
-        naive_distance(Dataset(states=np.ones((2, 4, 1))), Dataset(states=np.ones((2, 5, 1))))
+        naive_distance(observed, Dataset(states=np.ones((2, 5, 1))), terms)
     with pytest.raises(ValueError):
-        naive_distance(Dataset(states=np.ones((2, 4, 1))), Dataset(states=np.ones((2, 4, 2))))
+        naive_distance(observed, Dataset(states=np.ones((2, 4, 2))), terms)
 
 
 def test_trajectory_energy_frozen_example():
@@ -150,10 +153,11 @@ def test_trajectory_energy_frozen_example():
     simulated = Dataset(
         states=np.array([[[0.0], [0.0]], [[0.0], [2.0]], [[0.0], [1.0]], [[0.0], [1.0]]])
     )
-    d = naive_distance(observed, simulated)
+    terms = observed_energy_terms(observed)
+    d = naive_distance(observed, simulated, terms)
     np.testing.assert_allclose(d, [0.0, 1.0], rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError, match="batches of 2"):
-        naive_distance(observed, Dataset(states=np.zeros((3, 2, 1))))
+        naive_distance(observed, Dataset(states=np.zeros((3, 2, 1))), terms)
 
 
 def test_trajectory_energy_sees_spread_not_only_the_mean():
@@ -164,7 +168,7 @@ def test_trajectory_energy_sees_spread_not_only_the_mean():
     observed = Dataset(states=base)
     wide = Dataset(states=np.concatenate([3.0 * base, base]))
     np.testing.assert_allclose(wide.states.mean(axis=0), 0.0, atol=1e-12)
-    d = naive_distance(observed, wide)
+    d = naive_distance(observed, wide, observed_energy_terms(observed))
     assert d[0] > 0.5 and d[1] == pytest.approx(0.0, abs=1e-6)
 
 
@@ -197,5 +201,4 @@ def test_naive_distance_with_cached_observed_terms_is_bit_identical(m):
     terms = observed_energy_terms(observed)
     cached = naive_distance(observed, simulated, terms)
     np.testing.assert_array_equal(cached.view(np.int64), want)
-    np.testing.assert_array_equal(naive_distance(observed, simulated).view(np.int64), want)
     np.testing.assert_array_equal(terms[0], np.einsum("ik,ik->i", x, x))

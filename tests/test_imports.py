@@ -12,9 +12,16 @@ is a name, an attribute or a string constant equal to the name, since the
 benchmark patches attributes by name and the engine reads one through
 ``getattr``. Names in an ``__all__`` list are exported, not referenced.
 Dunder methods run without being named and are not checked.
+
+Every parameter with a default, of such a function or method or of a
+dataclass, is passed by some call in those same places, by keyword or by
+position; a call matches by the name it is made through, and a class's
+``__init__`` is called through the class name. Nested functions and
+dataclass fields declared with ``field(...)`` are not checked.
 """
 
 import ast
+import math
 import textwrap
 from collections import Counter
 from pathlib import Path
@@ -96,6 +103,88 @@ def unneeded_definitions(sources: list[str], needing: list[str]) -> list[str]:
     ]
 
 
+def _is_dataclass(node) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _function_defaults(node, is_method: bool):
+    """(call position or None, name) of each parameter of ``node`` that has a default.
+
+    A method's positions leave out ``self``.
+    """
+    positional = node.args.posonlyargs + node.args.args
+    first = len(positional) - len(node.args.defaults)
+    for index in range(first, len(positional)):
+        yield index - is_method, positional[index].arg
+    for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _defaults(tree):
+    """(call name, qualified name, position or None, parameter) of each defaulted parameter."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            for index, arg in _function_defaults(node, False):
+                yield node.name, node.name, index, arg
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and (
+                item.name == "__init__" or not item.name.startswith("__")
+            ):
+                call = node.name if item.name == "__init__" else item.name
+                for index, arg in _function_defaults(item, True):
+                    yield call, f"{node.name}.{item.name}", index, arg
+        if _is_dataclass(node):
+            fields = [
+                item for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+            for index, item in enumerate(fields):
+                value = item.value
+                if value is None or (
+                    isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field"
+                ):
+                    continue
+                yield node.name, node.name, index, item.target.id
+
+
+def _passed(trees) -> dict:
+    """Per call name, the most positional arguments and the keywords any call passes."""
+    passed = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            most, keywords = passed.get(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = math.inf if starred else len(node.args)
+            passed[name] = (max(most, count), keywords | {k.arg for k in node.keywords})
+    return passed
+
+
+def unpassed_defaults(sources: list[str], needing: list[str]) -> list[str]:
+    """Defaulted parameters in ``sources`` that no call in either list passes."""
+    trees = [ast.parse(source) for source in sources]
+    passed = _passed(trees + [ast.parse(source) for source in needing])
+    unpassed = []
+    for tree in trees:
+        for call, qualname, index, arg in _defaults(tree):
+            most, keywords = passed.get(call, (0, set()))
+            if arg in keywords or None in keywords:
+                continue
+            if index is not None and most > index:
+                continue
+            unpassed.append(f"{qualname}({arg})")
+    return unpassed
+
+
 def test_the_scan_finds_unused_imports():
     source = "import os\nimport numpy as np\nfrom a import b, c\n__all__ = ['c']\nnp.zeros(1)\n"
     assert unused_imports(source) == ["os", "b"]
@@ -129,3 +218,37 @@ def test_every_definition_is_needed_beyond_unit_tests():
     sources = [path.read_text() for path in SOURCES]
     needing = [path.read_text() for path in NEEDING]
     assert unneeded_definitions(sources, needing) == []
+
+
+def test_the_scan_finds_defaults_no_call_passes():
+    source = textwrap.dedent(
+        """
+        from dataclasses import dataclass, field
+
+        def f(a, b=1, c=2, *, d=3, e=4):
+            def nested(x=label): pass
+            return nested
+
+        @dataclass
+        class Settings:
+            size: int
+            cap: int = 5
+            spare: int = 6
+            cache: dict = field(default_factory=dict)
+
+            def scaled(self, by=1.0, floor=0.0): pass
+
+        class Plain:
+            def __init__(self, width=1, height=2): pass
+        """
+    )
+    needing = "f(0, 1, e=2)\nSettings(1, 2)\ns.scaled(2.0)\nPlain(**sizes)\n"
+    assert unpassed_defaults([source], [needing]) == [
+        "f(c)", "f(d)", "Settings.scaled(floor)", "Settings(spare)",
+    ]
+
+
+def test_every_default_is_passed_beyond_unit_tests():
+    sources = [path.read_text() for path in SOURCES]
+    needing = [path.read_text() for path in NEEDING]
+    assert unpassed_defaults(sources, needing) == []

@@ -13,10 +13,11 @@ from helpers import (
 from hybridabc import rng as rng_mod
 from hybridabc import smc as smc_mod
 from hybridabc.config import build_config
-from hybridabc.distance import auxiliary_distance, naive_distance
+from hybridabc.distance import auxiliary_distance, naive_distance, observed_energy_terms
 from hybridabc.lgdbn import summarize
 from hybridabc.model import Dataset, ErythroblastModel, Prior, generate_dataset
 from hybridabc.smc import (
+    OBJECTIVES,
     AuxiliaryObjective,
     NaiveObjective,
     PerturbationKernel,
@@ -26,7 +27,6 @@ from hybridabc.smc import (
     _evaluate_chunk,
     adapt_kernel,
     adapt_tolerance,
-    build_objective,
     compute_weight,
     perturb,
     replicate_fractions,
@@ -377,32 +377,33 @@ def test_posterior_summaries():
     np.testing.assert_allclose(freqs, weights, atol=0.04)
 
 
-def test_build_objective_validation_and_accounting():
+def test_objectives_build_themselves_and_count_paths():
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=1)
-    aux = build_objective(model, observed, "auxiliary", sim_replicates=4)
-    naive = build_objective(model, observed, "naive", sim_replicates=4)
-    assert isinstance(aux, AuxiliaryObjective)
-    assert isinstance(naive, NaiveObjective)
+    aux = AuxiliaryObjective(model, observed, sim_replicates=4)
+    naive = NaiveObjective(model, observed, sim_replicates=4)
+    assert aux.n_paths == naive.n_paths == 12
     assert aux.calls_per_evaluation == naive.calls_per_evaluation == 12
     # H = 10 transitions of one state: a (32,) summary, and a weight with
     # one row per component a fixed start leaves free (all but mu_0, psi_0
     # and v_0).
     assert aux.observed_summary.shape == (32,)
     assert aux.weight.shape == (29, 32)
-    with pytest.raises(ValueError):
-        build_objective(model, observed, "other", sim_replicates=4)
-    with pytest.raises(ValueError):
-        build_objective(model, observed, "auxiliary", sim_replicates=0)
+    settings = SmcSettings(n_particles=4, alpha=0.5, p_acc_min=0.5)
+    with pytest.raises(ValueError, match="unknown method 'other'; expected 'auxiliary' or 'naive'"):
+        run_inference(model, PRIOR, observed, "other", settings, sim_replicates=4, seed=0)
+    for objective in OBJECTIVES.values():
+        with pytest.raises(ValueError, match="sim_replicates must be positive"):
+            objective(model, observed, sim_replicates=0)
 
 
 def test_objectives_are_deterministic_given_the_stream():
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=2)
-    for method in ("auxiliary", "naive"):
-        objective = build_objective(model, observed, method, sim_replicates=2)
+    for method, build in OBJECTIVES.items():
+        objective = build(model, observed, sim_replicates=2)
         d1 = objective(theta, rng_mod.substream(9, 0))
         d2 = objective(theta, rng_mod.substream(9, 0))
         d3 = objective(theta, rng_mod.substream(9, 1))
@@ -421,7 +422,8 @@ def test_one_chunk_matches_one_slot_chunks(method):
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
-    objective = build_objective(model, observed, method, sim_replicates=5)
+    objective = OBJECTIVES[method](model, observed, sim_replicates=5)
+    terms = observed_energy_terms(observed)
     thetas = np.random.default_rng(6).uniform(PRIOR.lows, PRIOR.highs, (7, 6))
     slots = np.arange(10, 17)
     chunk = _evaluate_chunk(objective, 3, 2, slots, thetas)
@@ -431,15 +433,15 @@ def test_one_chunk_matches_one_slot_chunks(method):
         states = model.simulate_paths(theta_i, objective.n_paths, rng)
         simulated = Dataset(states=states[:, :, :1], dt=model.dt)
         if method == "naive":
-            singles.append(naive_distance(observed, simulated))
+            singles.append(naive_distance(observed, simulated, terms))
         else:
             eta = summarize(simulated)
             singles.append([auxiliary_distance(objective.observed_summary, eta, objective.weight)])
     assert chunk.shape == ((7, 5) if method == "naive" else (7, 1))
     np.testing.assert_array_equal(chunk, np.array(singles))
     # The workspace stays behind when the objective goes to a pool worker.
-    assert "_workspace" in vars(objective)
-    assert "_workspace" not in vars(pickle.loads(pickle.dumps(objective)))
+    assert objective._workspace is not None
+    assert pickle.loads(pickle.dumps(objective))._workspace is None
 
 
 def test_run_inference_counts_simulator_calls():
@@ -495,7 +497,7 @@ def test_replicate_runs_do_not_depend_on_worker_count():
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=8)
-    objective = build_objective(model, observed, "naive", sim_replicates=3)
+    objective = NaiveObjective(model, observed, sim_replicates=3)
     assert objective(theta, rng_mod.substream(1, 0)).shape == (3,)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.2, max_generations=3)
     serial = run_abc_smc(PRIOR, objective, settings, seed=6, workers=1)
