@@ -116,6 +116,8 @@ def read_dataset(path) -> Dataset:
             raise ValueError(f"{where} {meta[key]!r} is not {kind.__name__}") from None
         if kind is int and header[key] < 1:
             raise ValueError(f"{where} must be at least 1, got {header[key]}")
+        if kind is float and not 0.0 < header[key] < math.inf:
+            raise ValueError(f"{where} must be finite and positive, got {meta[key]}")
     m, horizon, dt = header.values()
     states = np.full((m, horizon + 1, 1), np.nan)
     for row in raw:
@@ -133,8 +135,10 @@ def read_dataset(path) -> Dataset:
         if not np.isnan(states[i, t, 0]):
             raise ValueError(f"{path}: row ({i}, {t}) appears more than once")
         states[i, t, 0] = value
-    if np.isnan(states).any():
-        raise ValueError(f"{path}: missing rows for the declared shape")
+    missing = np.argwhere(np.isnan(states[:, :, 0]))
+    if missing.size:
+        i, t = missing[0]
+        raise ValueError(f"{path}: missing rows for the declared shape, the first ({i}, {t})")
     return Dataset(states=states, dt=dt)
 
 

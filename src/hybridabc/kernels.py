@@ -25,6 +25,10 @@ def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None
     transposed view of a step-major (steps, 2, n) buffer is read without a
     copy. The states are written step-major into ``out`` (steps + 1, 2, n),
     allocated when None, and returned as its (n, steps + 1, 2) view.
+
+    Each step is 13 ufunc calls writing into preallocated (n,) rows, listed
+    once per call, so at the tens of paths of a small evaluation the cost
+    is mostly those calls' fixed overhead.
     """
     n, n_steps, _ = eps.shape
     # Step-major buffers keep every per-step read and write contiguous.
@@ -42,24 +46,24 @@ def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None
     # the gate is exactly 0; below it, it underflows to 0 and the gate is 1.
     # Overflow elsewhere makes a state non-finite, and inf - inf or 0 * inf
     # then give nan; callers check for both.
+    rhos, inhs = list(out[:, 0]), list(out[:, 1])
+    steps = zip(rhos, inhs, rhos[1:], inhs[1:], list(shocks[:, 0]), list(shocks[:, 1]))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for t in range(n_steps):
-            rho, inh = out[t]
-            rho_next, inh_next = out[t + 1]
-            np.subtract(inh, k_c, out=gate)
-            gate *= k_s
-            np.exp(gate, out=gate)
-            gate += 1.0
-            np.divide(1.0, gate, out=gate)
-            np.multiply(growth, rho, out=step)
-            step *= gate
-            np.add(rho, step, out=rho_next)
-            rho_next += shocks[t, 0]
+        for rho, inh, rho_next, inh_next, rho_shock, inh_shock in steps:
+            np.subtract(inh, k_c, gate)
+            np.multiply(gate, k_s, gate)
+            np.exp(gate, gate)
+            np.add(gate, 1.0, gate)
+            np.divide(1.0, gate, gate)
+            np.multiply(growth, rho, step)
+            np.multiply(step, gate, step)
+            np.add(rho, step, rho_next)
+            np.add(rho_next, rho_shock, rho_next)
             # I + dt ((rho' - rho) / dt - r_d I), with the dt factors cancelled.
-            np.subtract(rho_next, rho, out=step)
-            np.multiply(retained, inh, out=inh_next)
-            inh_next += step
-            inh_next += shocks[t, 1]
+            np.subtract(rho_next, rho, step)
+            np.multiply(retained, inh, inh_next)
+            np.add(inh_next, step, inh_next)
+            np.add(inh_next, inh_shock, inh_next)
     return out.transpose(2, 0, 1)
 
 

@@ -131,10 +131,18 @@ class PerturbationKernel:
     def dim(self) -> int:
         return self.covariance.shape[0]
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, rngs, block: int) -> np.ndarray:
+        """(len(rngs), block, d) moves: ``block`` draws from each stream in turn.
+
+        Row i reads ``block * d`` normals from ``rngs[i]``, the ones ``block``
+        draws of ``d`` would read one after another, and each move is the
+        matrix-vector product ``chol @ z`` with the bits of a single draw. A
+        singular kernel moves nothing and reads no stream.
+        """
         if self._chol is None:
-            return np.zeros(self.dim)
-        return self._chol @ rng.standard_normal(self.dim)
+            return np.zeros((len(rngs), block, self.dim))
+        z = np.stack([rng.standard_normal((block, self.dim)) for rng in rngs])
+        return (self._chol @ z[..., None])[..., 0]
 
     def densities(self, thetas: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Density of each point, (d,) or (k, d), around each row of ``centers``."""
@@ -185,11 +193,17 @@ class PosteriorApproximation:
 
 @dataclass(frozen=True)
 class GenerationRecord:
-    """One progress line: state of the engine after a generation."""
+    """One progress line: state of the engine after a generation.
+
+    ``prior_rejections`` counts the kernel moves of the generation's
+    proposals that landed outside the prior; generation 1 draws from the
+    prior and counts 0.
+    """
 
     generation: int
     tolerance: float
     p_acc: float
+    prior_rejections: int
     n_retained: int
     n_evaluations: int
     simulator_calls: int
@@ -216,13 +230,12 @@ def resample_indices(weights: np.ndarray, rng: np.random.Generator, n: int) -> n
     cum = np.cumsum(weights)
     if cum.size == 0 or cum[-1] <= 0.0:
         raise ValueError("weights must carry positive total mass")
-    return _draw_indices(cum, rng, n)
+    return _draw_indices(cum, rng.random(n))
 
 
-def _draw_indices(cum: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` indices drawn by the weights whose running sum is ``cum``."""
-    u = rng.random(n) * cum[-1]
-    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+def _draw_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices picked by uniforms ``u`` under the weights whose running sum is ``cum``."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
 
 
 def adapt_kernel(population: Population) -> PerturbationKernel:
@@ -243,22 +256,57 @@ def adapt_kernel(population: Population) -> PerturbationKernel:
 #: Kernel draws ``perturb`` makes before it gives up on a particle.
 _MAX_PERTURB_TRIES = 1000
 
+#: Kernel draws ``perturb`` makes for each pending particle at a time. The
+#: block bounds each (pending, block, d) temporary and divides
+#: ``_MAX_PERTURB_TRIES``.
+_PERTURB_BLOCK = 8
+
 
 def perturb(
-    theta_star: np.ndarray,
+    stars: np.ndarray,
     kernel: PerturbationKernel,
     prior: Prior,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Gaussian move around ``theta_star``, redrawn until inside the prior."""
-    for _ in range(_MAX_PERTURB_TRIES):
-        candidate = theta_star + kernel.sample(rng)
-        if prior.density(candidate) > 0.0:
-            return candidate
+    rngs,
+) -> tuple[np.ndarray, int]:
+    """Gaussian moves of the rows of ``stars`` (k, d), each redrawn until inside the prior.
+
+    Row i draws its moves from ``rngs[i]``, ``_PERTURB_BLOCK`` at a time,
+    and keeps the first that lands inside the prior, so each row gets the
+    move that drawing one at a time would give it; the draws left in a
+    block are read from the stream and dropped. Returns the moved rows and
+    the total number of moves that landed outside the prior before the
+    rows' kept ones. A row with no move inside after ``_MAX_PERTURB_TRIES``
+    draws raises ``RuntimeError`` naming its particle.
+    """
+    moved = np.empty_like(stars)
+    pending = np.arange(len(stars))
+    rejections = 0
+    for _ in range(_MAX_PERTURB_TRIES // _PERTURB_BLOCK):
+        moves = kernel.sample([rngs[i] for i in pending], _PERTURB_BLOCK)
+        candidates = stars[pending, None, :] + moves
+        inside = ((candidates >= prior.lows) & (candidates <= prior.highs)).all(axis=2)
+        found = inside.any(axis=1)
+        first = inside.argmax(axis=1)[found]
+        moved[pending[found]] = candidates[found, first]
+        rejections += int(first.sum()) + _PERTURB_BLOCK * int((~found).sum())
+        pending = pending[~found]
+        if not pending.size:
+            return moved, rejections
     raise RuntimeError(
-        f"no perturbation of particle {np.asarray(theta_star)} landed inside "
+        f"no perturbation of particle {stars[pending[0]]} landed inside "
         f"the prior support after {_MAX_PERTURB_TRIES} tries"
     )
+
+
+def _propose(population: Population, kernel: PerturbationKernel, prior: Prior, rngs):
+    """Refills (k, d) for the slots whose proposal streams are ``rngs``, and their prior rejections.
+
+    Each stream first gives the uniform that picks its slot's star by
+    weight, then the slot's kernel moves.
+    """
+    u = np.array([rng.random() for rng in rngs])
+    stars = population.thetas[_draw_indices(np.cumsum(population.weights), u)]
+    return perturb(stars, kernel, prior, rngs)
 
 
 #: Refills whose mixture densities are solved together. The block bounds
@@ -370,7 +418,7 @@ def run_abc_smc(
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     history = []
 
-    def retain(thetas, weights, replicates, generation, p_acc):
+    def retain(thetas, weights, replicates, generation, p_acc, prior_rejections):
         """Keep the pool's particles within the alpha quantile of their smallest replicates."""
         distances = replicates.min(axis=1)
         tol = adapt_tolerance(distances, settings.alpha)
@@ -381,6 +429,7 @@ def run_abc_smc(
             generation=generation,
             tolerance=tol,
             p_acc=p_acc,
+            prior_rejections=prior_rejections,
             n_retained=len(population),
             n_evaluations=n_evaluations,
             simulator_calls=n_evaluations * calls_per_eval,
@@ -396,7 +445,7 @@ def run_abc_smc(
         for slot in range(N):
             thetas[slot] = prior.sample(substream(seed, STREAM_PROPOSAL, 0, slot))
         replicates = _evaluate(objective, seed, 0, range(N), thetas, executor, workers)
-        population = retain(thetas, np.ones(N), replicates, 1, 1.0)
+        population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0)
 
         stopped_by = "acceptance-rate"
         while history[-1].p_acc > settings.p_acc_min:
@@ -405,15 +454,10 @@ def run_abc_smc(
                 stopped_by = "max-generations"
                 break
             kernel = adapt_kernel(population)
-            new_thetas = np.empty((n_new, prior.dim))
-            cum = np.cumsum(population.weights)
-            for j, slot in enumerate(range(n_keep, N)):
-                prop_rng = substream(seed, STREAM_PROPOSAL, generation, slot)
-                star = population.thetas[_draw_indices(cum, prop_rng, 1)[0]]
-                new_thetas[j] = perturb(star, kernel, prior, prop_rng)
-            new_reps = _evaluate(
-                objective, seed, generation, range(n_keep, N), new_thetas, executor, workers
-            )
+            slots = range(n_keep, N)
+            rngs = [substream(seed, STREAM_PROPOSAL, generation, slot) for slot in slots]
+            new_thetas, prior_rejections = _propose(population, kernel, prior, rngs)
+            new_reps = _evaluate(objective, seed, generation, slots, new_thetas, executor, workers)
 
             accepted = new_reps.min(axis=1) <= population.tolerance
             new_w = compute_weight(new_thetas, population, kernel, prior, accepted)
@@ -429,6 +473,7 @@ def run_abc_smc(
                 np.vstack([population.replicates, new_reps]),
                 generation + 1,
                 p_acc,
+                prior_rejections,
             )
     finally:
         if executor is not None:

@@ -204,14 +204,15 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
         io.read_dataset(path)
     lines = text.splitlines()
     path.write_text("\n".join(lines[:-1]) + "\n")  # drop one data row
-    with pytest.raises(ValueError, match="missing rows"):
+    missing = "missing rows for the declared shape, the first"
+    with pytest.raises(ValueError, match=rf"{missing} \(1, 4\)$"):
+        io.read_dataset(path)
+    first = lines.index("0,0,3.0")
+    path.write_text("\n".join(lines[: first + 2] + lines[first + 4 :]) + "\n")  # (0, 2), (0, 3)
+    with pytest.raises(ValueError, match=rf"{missing} \(0, 2\)$"):
         io.read_dataset(path)
     path.write_text(text + "0,3\n")
     with pytest.raises(ValueError, match="row '0,3' does not hold three fields"):
-        io.read_dataset(path)
-    assert "# dt: 3.0\n" in text
-    path.write_text(text.replace("# dt: 3.0\n", "# dt: nan\n"))
-    with pytest.raises(ValueError, match="dt must be finite and positive"):
         io.read_dataset(path)
     last = lines[-1].rsplit(",", 1)[0]
     for bad in ("inf", "nan"):
@@ -219,7 +220,6 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
         with pytest.raises(ValueError, match=rf"row \(1, 4\) holds the non-finite value '{bad}'"):
             io.read_dataset(path)
     # Every parse failure names the file and the row or the header key.
-    first = lines.index("0,0,3.0")
     for row in ("0,three,3.0", "0,0,x3.0"):
         path.write_text("\n".join(lines[:first] + [row] + lines[first + 1 :]) + "\n")
         with pytest.raises(
@@ -231,6 +231,10 @@ def test_read_dataset_rejects_foreign_and_incomplete_files(tmp_path):
         ("# dt: abc", "the dt header 'abc' is not float"),
         ("# trajectories: -1", "the trajectories header must be at least 1, got -1"),
         ("# horizon: 0", "the horizon header must be at least 1, got 0"),
+        ("# dt: -3", "the dt header must be finite and positive, got -3"),
+        ("# dt: 0", "the dt header must be finite and positive, got 0"),
+        ("# dt: inf", "the dt header must be finite and positive, got inf"),
+        ("# dt: nan", "the dt header must be finite and positive, got nan"),
     ):
         key = header.split(":")[0]
         edited = [header if line.startswith(key + ":") else line for line in lines]

@@ -18,6 +18,9 @@ dataclass, is passed by some call in those same places, by keyword or by
 position; a call matches by the name it is made through, and a class's
 ``__init__`` is called through the class name. Nested functions and
 dataclass fields declared with ``field(...)`` are not checked.
+
+Every attribute the benchmark's tracer wraps (``pipebench.spans.boundaries``)
+resolves to a callable.
 """
 
 import ast
@@ -252,3 +255,16 @@ def test_every_default_is_passed_beyond_unit_tests():
     sources = [path.read_text() for path in SOURCES]
     needing = [path.read_text() for path in NEEDING]
     assert unpassed_defaults(sources, needing) == []
+
+
+def test_benchmark_span_boundaries_resolve(monkeypatch):
+    """A rename under ``src/`` fails here, not when ``--trace 1`` installs its spans."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    from pipebench.spans import boundaries
+
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in boundaries()
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []

@@ -154,7 +154,11 @@ def test_perturbation_kernel_density_closed_form():
 
 def test_perturbation_kernel_degenerate():
     kernel = PerturbationKernel(covariance=np.array([[0.0]]))
-    assert kernel.sample(np.random.default_rng(0))[0] == 0.0
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    moves = kernel.sample([rng], 8)
+    assert moves.shape == (1, 8, 1) and not moves.any()
+    assert rng.bit_generator.state == state  # a singular kernel draws nothing
     dens = kernel.densities(np.array([0.5]), np.array([[0.5], [0.7]]))
     assert dens[0] == np.inf
     assert dens[1] == 0.0
@@ -172,17 +176,112 @@ def test_perturbation_kernel_validation():
 def test_perturb_respects_prior_support():
     prior = Prior(names=("p",), lows=np.array([0.0]), highs=np.array([1.0]))
     kernel = PerturbationKernel(covariance=np.array([[100.0]]))
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        candidate = perturb(np.array([0.5]), kernel, prior, rng)
-        assert prior.contains(candidate)
+    rngs = [np.random.default_rng(i) for i in range(20)]
+    moved, rejections = perturb(np.full((20, 1), 0.5), kernel, prior, rngs)
+    assert moved.shape == (20, 1)
+    assert all(prior.contains(candidate) for candidate in moved)
+    assert rejections > 0
 
 
 def test_perturb_exhaustion_raises():
     prior = Prior(names=("p",), lows=np.array([0.0]), highs=np.array([1.0]))
     kernel = PerturbationKernel(covariance=np.array([[0.0]]))
+    with pytest.raises(RuntimeError, match=r"particle \[5\.\] .* after 1000 tries"):
+        perturb(np.array([[0.5], [5.0]]), kernel, prior, [np.random.default_rng(0)] * 2)
+
+
+def _sequential_proposals(population, kernel, prior, rngs):
+    """Refills drawn one slot and one kernel move at a time, and each slot's prior rejections."""
+    cum = np.cumsum(population.weights)
+    thetas, rejections = [], []
+    for rng in rngs:
+        u = rng.random(1) * cum[-1]
+        star = population.thetas[min(np.searchsorted(cum, u, side="right")[0], cum.size - 1)]
+        for tries in range(smc_mod._MAX_PERTURB_TRIES):
+            if kernel._chol is None:
+                candidate = star + np.zeros(kernel.dim)
+            else:
+                candidate = star + kernel._chol @ rng.standard_normal(kernel.dim)
+            if prior.density(candidate) > 0.0:
+                thetas.append(candidate)
+                rejections.append(tries)
+                break
+        else:
+            raise RuntimeError(f"slot exhausted after {smc_mod._MAX_PERTURB_TRIES} draws")
+    return np.array(thetas), np.array(rejections)
+
+
+def _streams(n, seed=7, generation=4):
+    return [rng_mod.substream(seed, rng_mod.STREAM_PROPOSAL, generation, s) for s in range(n)]
+
+
+def _check_batched_proposals(population, kernel, prior, n):
+    got, rejections = smc_mod._propose(population, kernel, prior, _streams(n))
+    want, per_slot = _sequential_proposals(population, kernel, prior, _streams(n))
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert rejections == per_slot.sum()
+    return per_slot
+
+
+def test_batched_proposals_match_one_slot_and_one_move_at_a_time():
+    rng = np.random.default_rng(3)
+    middle = (PRIOR.lows + PRIOR.highs) / 2.0
+    width = PRIOR.highs - PRIOR.lows
+    centers = rng.uniform(middle - width / 3.0, middle + width / 3.0, (40, 6))
+    pop = Population(centers, rng.uniform(0.0, 2.0, 40), np.zeros((40, 1)), 0.0, 3)
+    per_slot = _check_batched_proposals(pop, adapt_kernel(pop), PRIOR, 60)
+    assert per_slot.any()
+    # A kernel far wider than the box rejects most moves, so many slots
+    # need more than one block of draws.
+    prior = Prior(names=("a", "b"), lows=np.zeros(2), highs=np.ones(2))
+    pop = Population(rng.uniform(0.0, 1.0, (9, 2)), np.ones(9), np.zeros((9, 1)), 0.0, 2)
+    wide = PerturbationKernel(covariance=np.array([[4.0, 1.0], [1.0, 9.0]]))
+    per_slot = _check_batched_proposals(pop, wide, prior, 40)
+    assert (per_slot >= smc_mod._PERTURB_BLOCK).sum() >= 10
+
+
+def test_batched_proposals_with_a_singular_kernel():
+    prior = Prior(names=("a", "b"), lows=np.zeros(2), highs=np.ones(2))
+    centers = np.array([[0.2, 0.5], [0.4, 0.5], [0.6, 0.5]])
+    pop = Population(centers, np.array([1.0, 2.0, 1.0]), np.zeros((3, 1)), 0.0, 2)
+    kernel = PerturbationKernel(covariance=np.array([[0.01, 0.0], [0.0, 0.0]]))
+    assert kernel._chol is None
+    assert not _check_batched_proposals(pop, kernel, prior, 25).any()
+
+
+class _ScriptedKernel:
+    """Kernel stub: every row's ``hit``-th draw stays put, every other draw leaves the box."""
+
+    def __init__(self, hit):
+        self.hit = hit
+        self.drawn = 0
+
+    def sample(self, rngs, block):
+        draws = np.arange(self.drawn + 1, self.drawn + block + 1)
+        self.drawn += block
+        moves = np.where(draws == self.hit, 0.0, 10.0)[:, None]
+        return np.broadcast_to(moves, (len(rngs), block, 1))
+
+
+def test_perturb_gives_up_after_exactly_the_maximum_number_of_draws():
+    prior = Prior(names=("p",), lows=np.array([0.0]), highs=np.array([1.0]))
+    star = np.array([[0.5]])
+    last = smc_mod._MAX_PERTURB_TRIES
+    moved, rejections = perturb(star, _ScriptedKernel(last), prior, [None])
+    assert moved[0, 0] == 0.5 and rejections == last - 1
+    kernel = _ScriptedKernel(last + 1)
+    with pytest.raises(RuntimeError, match=r"particle \[0\.5\] .* after 1000 tries"):
+        perturb(star, kernel, prior, [None])
+    assert kernel.drawn == last
+    # A real stream has read exactly 1,000 draws of d normals when it gives up.
+    rng = np.random.default_rng(5)
+    spike = PerturbationKernel(covariance=np.array([[1e-6, 0.0], [0.0, 1e-6]]))
+    box = Prior(names=("a", "b"), lows=np.zeros(2), highs=np.ones(2))
     with pytest.raises(RuntimeError):
-        perturb(np.array([5.0]), kernel, prior, np.random.default_rng(0))
+        perturb(np.array([[5.0, 5.0]]), spike, box, [rng])
+    reference = np.random.default_rng(5)
+    reference.standard_normal((last, 2))
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_compute_weight_hand_case():
@@ -313,6 +412,9 @@ def test_engine_histories_and_counters():
         assert record.generation == k + 1
         assert record.n_evaluations == 120 + k * 60
         assert record.simulator_calls == record.n_evaluations
+    # Generation 1 draws from the prior; later ones count moves that left it.
+    assert records[0].prior_rejections == 0
+    assert all(type(r.prior_rejections) is int and r.prior_rejections >= 0 for r in records)
     assert posterior.n_evaluations == records[-1].n_evaluations
     # Tolerances tighten monotonically at alpha = 1/2.
     assert (np.diff(posterior.tolerances) <= 0).all()
