@@ -1,0 +1,173 @@
+"""Compare two checkouts with the pipeline benchmark and write a BENCH_*.json.
+
+Usage, from the repository root::
+
+    python3 benchmarks/bench_pipeline.py --base ../parent-checkout \\
+        [--pairs 10] [--seed 11 --seed 23] [--seconds 10] \\
+        [--workload cell-smoke-w2 ...] [--out benchmarks/BENCH_11.json]
+
+For every seed and workload it runs ``pipebench/run.py`` unchanged, once in
+the ``--base`` checkout and once in this one per pair, alternating which
+side goes first; then one ``--trace 1`` run per side. Each run
+is its own process in its own checkout, with ``PYTHONDONTWRITEBYTECODE=1``
+so that neither side's set-up gains from a bytecode cache the other lacks.
+
+The output holds, per seed and workload: each pair's ``run_s``,
+``setup_s`` and ``peak_rss_mb`` and whether every call matched its
+fingerprint; each side's median and quartiles of those metrics; the number
+of pairs in which this checkout's ``run_s`` was lower; whether every call
+on both sides gave the same result fingerprint (engine counts, final
+tolerances, posterior means and, for the cell, KS values), and that
+fingerprint; and each side's traced per-layer metrics and exact engine
+counts. ``src_lines`` is the line count of ``src/`` on
+each side, and ``dirty`` says whether a side has uncommitted changes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("infer-aux-desk", "infer-naive-desk", "cell-smoke-w2")
+END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
+
+
+def run_pipebench(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One ``pipebench/run.py`` process in ``root``; its full result record."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    argv = [
+        sys.executable, "pipebench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"pipebench printed nothing in {root}: {proc.stderr.strip()[-500:]}")
+    summary = json.loads(lines[-1])
+    name = f"{workload}-seed{seed}-trace{trace}.json"
+    record = json.loads((root / ".bench_work" / "results" / name).read_text())
+    record["correct"] = summary["correct"]
+    record["failed"] = summary["failed"]
+    return record
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
+    pairs = []
+    fingerprints = {"base": [], "head": []}
+    for i in range(args.pairs):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        pair = {"first": order[0]}
+        for side in order:
+            root = base if side == "base" else head
+            record = run_pipebench(root, workload, seed, args.seconds, 0)
+            pair[side] = {name: record["metrics"][name]["value"] for name in END_TO_END}
+            pair[side]["correct"] = record["correct"]
+            pair[side]["failed"] = record["failed"]
+            fingerprints[side].extend(call["fingerprint"] for call in record["calls"])
+        pairs.append(pair)
+        print(
+            f"{workload} seed {seed} pair {i + 1}: run_s {pair['base']['run_s']:.4f} -> "
+            f"{pair['head']['run_s']:.4f}",
+            file=sys.stderr,
+        )
+    traced = {}
+    for side, root in (("base", base), ("head", head)):
+        record = run_pipebench(root, workload, seed, args.seconds, 1)
+        traced[side] = {
+            "correct": record["correct"],
+            "counts": record["counts"],
+            "metrics": {name: m["value"] for name, m in record["metrics"].items()},
+        }
+    first = fingerprints["base"][0]
+    sides = {
+        side: {name: spread([p[side][name] for p in pairs]) for name in END_TO_END}
+        for side in ("base", "head")
+    }
+    return {
+        "pairs": pairs,
+        "summary": sides,
+        "head_faster": sum(p["head"]["run_s"] < p["base"]["run_s"] for p in pairs),
+        "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "head")),
+        "same_results": all(f == first for f in fingerprints["base"] + fingerprints["head"]),
+        "fingerprint": first,
+        "traced": traced,
+    }
+
+
+def src_lines(root: Path) -> int:
+    return sum(p.read_text().count("\n") for p in sorted((root / "src").rglob("*.py")))
+
+
+def checkout(root: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True).stdout
+
+    return {
+        "commit": git("rev-parse", "HEAD").strip() or None,
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip()),
+        "src_lines": src_lines(root),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, action="append")
+    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    parser.add_argument("--out", type=Path, default=HERE / "benchmarks" / "BENCH.json")
+    args = parser.parse_args(argv)
+    base = args.base.resolve()
+    if not (base / "pipebench" / "run.py").is_file():
+        parser.error(f"{base} has no pipebench/run.py")
+    started = time.time()
+    result_seeds = args.seed or [11]
+    result = {
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over the pairs",
+        "env": {
+            "nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+        },
+        "base": checkout(base),
+        "head": checkout(HERE),
+        "seeds": {
+            str(seed): {
+                workload: compare(base, HERE, workload, seed, args)
+                for workload in args.workload or WORKLOADS
+            }
+            for seed in result_seeds
+        },
+    }
+    result["elapsed_s"] = time.time() - started
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    for seed, workloads in result["seeds"].items():
+        for workload, entry in workloads.items():
+            base_run, head_run = (entry["summary"][side]["run_s"] for side in ("base", "head"))
+            print(
+                f"seed {seed} {workload}: run_s {base_run['median']:.4f} "
+                f"[{base_run['q1']:.4f}-{base_run['q3']:.4f}] -> {head_run['median']:.4f}, "
+                f"faster in {entry['head_faster']} of {len(entry['pairs'])}, "
+                f"all correct: {entry['all_correct']}, same results: {entry['same_results']}"
+            )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

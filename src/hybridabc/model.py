@@ -144,44 +144,69 @@ class ErythroblastModel:
         return theta
 
     def workspace(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Buffers ``simulate_paths`` can reuse from call to call for ``n`` paths.
+        """Buffers ``simulate_paths`` can reuse from call to call for up to ``n`` paths.
 
-        They hold the standard normals, the scaled shocks and the states.
+        They hold the standard normals, the scaled shocks and the states,
+        flat, so a call for fewer paths lays its arrays out contiguously at
+        their start.
         """
-        H = self.horizon
-        return np.empty((n, H, 2)), np.empty((H, 2, n)), np.empty((H + 1, 2, n))
+        size = self.horizon * 2 * n
+        return np.empty(size), np.empty(size), np.empty(size + 2 * n)
 
     def simulate_paths(self, theta, n: int, rng, workspace=None) -> np.ndarray:
-        """Simulate ``n`` full paths under one parameter vector.
+        """Simulate ``n`` full paths under each parameter vector.
 
-        Returns states of shape (n, horizon + 1, 2) with columns (rho, I):
-        a fresh C-contiguous array, or, given a ``workspace`` from
-        ``self.workspace(n)``, a view of its step-major buffer that the next
-        call overwrites. Reusing one workspace spares a process the page
-        faults of allocating and freeing these arrays on every call.
-        Raises SimulationError if any state becomes non-finite.
+        ``theta`` is one vector (6,) drawn from the stream ``rng``, or k rows
+        (k, 6) with a sequence of k streams: stream i draws the n paths of
+        row i, exactly as a call with that row alone would, into rows
+        i * n to (i + 1) * n of the result, and one kernel call steps all
+        k * n paths. Returns states of shape (k * n, horizon + 1, 2) with
+        columns (rho, I): a fresh C-contiguous array, or, given a
+        ``workspace`` from ``self.workspace(size)`` with size >= k * n, a
+        view of its start that the next call overwrites. Reusing one
+        workspace spares a process the page faults of allocating and
+        freeing these arrays on every call.
+
+        Raises SimulationError if any state becomes non-finite: for the
+        first row with such a state, its earliest bad step and the path's
+        index among that row's n paths, as a call with that row alone
+        would raise it.
         """
-        buffers = workspace or self.workspace(n)
-        if buffers[0].shape[0] != n:
-            raise ValueError(f"the workspace holds {buffers[0].shape[0]} paths, not {n}")
-        out = self._simulate(theta, rng, buffers)
+        theta = self._check_theta(theta)
+        if theta.ndim == 2:
+            rngs = list(rng)
+            if len(rngs) != len(theta):
+                raise ValueError(f"{len(theta)} parameter rows, {len(rngs)} streams")
+            theta = np.repeat(theta.T, n, axis=1)
+        else:
+            rngs = [rng]
+        out = self._simulate(theta, rngs, n, workspace or self.workspace(len(rngs) * n))
         return out if workspace else np.ascontiguousarray(out)
 
     def simulate_paths_multi(self, thetas, rng) -> np.ndarray:
         """Simulate one full path per row of ``thetas`` (shape (n, 6))."""
-        thetas = np.atleast_2d(thetas)
-        return self._simulate(thetas, rng, self.workspace(thetas.shape[0]))
+        thetas = np.atleast_2d(self._check_theta(thetas))
+        return self._simulate(thetas.T, [rng], len(thetas), self.workspace(len(thetas)))
 
-    def _simulate(self, theta, rng, workspace) -> np.ndarray:
-        """States of the workspace's paths under ``theta``, as (n, horizon + 1, 2).
+    def _simulate(self, per_param, rngs, n: int, workspace) -> np.ndarray:
+        """States of ``len(rngs) * n`` paths, as (paths, horizon + 1, 2).
 
-        ``theta`` is one parameter vector (6,) shared by every path or one
-        row per path (n, 6). Raises SimulationError at the earliest step
-        with a non-finite state.
+        ``per_param`` holds the parameters in rows, (6,) shared by every
+        path or (6, paths) one column per path; stream i draws the shocks
+        of paths i * n to (i + 1) * n. Raises SimulationError for the first
+        stream's paths with a non-finite state, at their earliest bad step.
         """
-        per_param = np.ascontiguousarray(self._check_theta(theta).T)
-        draws, shocks, states = workspace
-        normalize_rng(rng).standard_normal(draws.shape, out=draws)
+        H = self.horizon
+        paths = len(rngs) * n
+        capacity = workspace[2].size // (2 * (H + 1))
+        if paths > capacity:
+            raise ValueError(f"the workspace holds {capacity} paths, fewer than {paths}")
+        draws = workspace[0][: paths * H * 2].reshape(paths, H, 2)
+        shocks = workspace[1][: H * 2 * paths].reshape(H, 2, paths)
+        states = workspace[2][: (H + 1) * 2 * paths].reshape(H + 1, 2, paths)
+        for i, rng in enumerate(rngs):
+            normalize_rng(rng).standard_normal((n, H, 2), out=draws[i * n : (i + 1) * n])
+        per_param = np.ascontiguousarray(per_param)
         # Scaling after the step-major transpose runs each multiply along a
         # whole row of paths instead of over the two shock channels.
         np.multiply(draws.transpose(1, 2, 0), per_param[4:6].reshape(2, -1), out=shocks)
@@ -193,11 +218,13 @@ class ErythroblastModel:
             shocks.transpose(2, 0, 1),
             out=states,
         )
-        finite = np.isfinite(out)
+        finite = np.isfinite(states)
         if not finite.all():
-            bad = np.argwhere(~finite)
-            j = int(bad[:, 1].argmin())
-            raise SimulationError(path_index=bad[j, 0], step=bad[j, 1])
+            bad = ~finite.all(axis=1)
+            first = int(np.flatnonzero(bad.any(axis=0))[0]) // n
+            bad = bad[:, first * n : (first + 1) * n]
+            step = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise SimulationError(path_index=np.flatnonzero(bad[step])[0], step=step)
         return out
 
 

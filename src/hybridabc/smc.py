@@ -7,10 +7,12 @@ tolerance to the ``alpha`` quantile of the pooled distances. It stops once
 the refill acceptance rate drops to ``p_acc_min`` or below.
 
 The engine is model-agnostic: it sees only a prior and a distance objective
-``objective(theta, rng)`` returning one distance or an array of L replicate
-distances, each from its own simulated dataset; L is read off the returns
-and must not change within a run. Per-slot random sub-streams make every
-run a pure function of the seed, whatever the worker count.
+that gives each particle one distance or an array of L replicate distances,
+each from its own simulated dataset; L is read off the returns and must not
+change within a run. The package's objectives score a chunk of particles
+per call, ``objective(thetas, rngs)``; any other callable is called as
+``objective(theta, rng)`` once per particle. Per-slot random sub-streams
+make every run a pure function of the seed, whatever the worker count.
 
 A particle counts as within the tolerance when at least one of its
 replicates is, so its distance is the smallest replicate; the returned
@@ -99,6 +101,11 @@ class Population:
 
     def normalized_weights(self) -> np.ndarray:
         return self.weights / self.weights.sum()
+
+    @property
+    def ess(self) -> float:
+        """Kish effective sample size of the weights, (sum w)^2 / sum w^2."""
+        return float(self.weights.sum() ** 2 / (self.weights @ self.weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +204,8 @@ class GenerationRecord:
 
     ``prior_rejections`` counts the kernel moves of the generation's
     proposals that landed outside the prior; generation 1 draws from the
-    prior and counts 0.
+    prior and counts 0. ``ess`` is the Kish effective sample size of the
+    retained particles' weights.
     """
 
     generation: int
@@ -205,6 +213,7 @@ class GenerationRecord:
     p_acc: float
     prior_rejections: int
     n_retained: int
+    ess: float
     n_evaluations: int
     simulator_calls: int
     elapsed_s: float
@@ -354,13 +363,15 @@ def replicate_fractions(replicates: np.ndarray, tolerance: float) -> np.ndarray:
 
 
 def _evaluate_chunk(objective, seed, generation, slots, thetas):
-    """Replicate distances of each slot, stacked into a (len(slots), L) array."""
-    return np.stack(
-        [
-            np.atleast_1d(objective(theta, substream(seed, STREAM_SIMULATION, generation, slot)))
-            for slot, theta in zip(slots, thetas)
-        ]
-    )
+    """Replicate distances of each slot, stacked into a (len(slots), L) array.
+
+    The package's objectives score the whole chunk in one call; any other
+    callable is called once per slot.
+    """
+    rngs = [substream(seed, STREAM_SIMULATION, generation, slot) for slot in slots]
+    if isinstance(objective, _PathObjective):
+        return objective(thetas, rngs)
+    return np.stack([np.atleast_1d(objective(theta, rng)) for theta, rng in zip(thetas, rngs)])
 
 
 def _evaluate(objective, seed, generation, slots, thetas, executor, workers):
@@ -390,10 +401,18 @@ def run_abc_smc(
     ----------
     prior : Prior
         Sampling distribution and density for parameter vectors.
-    objective : callable(theta, rng) -> float or array of shape (L,)
-        Distance between data simulated under ``theta`` and the observed
-        data, the same L for every call; a float counts as L = 1. May
-        expose ``calls_per_evaluation`` for simulator accounting.
+    objective : callable
+        Distance between data simulated under a parameter vector and the
+        observed data, the same L replicates for every particle. A
+        generation's slots go to the workers in chunks, and each chunk
+        builds every slot's simulation stream, ``substream(seed,
+        STREAM_SIMULATION, generation, slot)``. The package's objectives
+        (``OBJECTIVES``) take the whole chunk, ``objective(thetas (k, d),
+        rngs) -> (k, L)``, row i scored from ``rngs[i]`` alone. Any other
+        callable is mapped over the slots one at a time,
+        ``objective(theta, rng) -> float or (L,)``, a float counting as
+        L = 1. May expose ``calls_per_evaluation`` for simulator
+        accounting.
     settings : SmcSettings
     seed : int
         Master seed; the run is a pure function of it.
@@ -431,6 +450,7 @@ def run_abc_smc(
             p_acc=p_acc,
             prior_rejections=prior_rejections,
             n_retained=len(population),
+            ess=population.ess,
             n_evaluations=n_evaluations,
             simulator_calls=n_evaluations * calls_per_eval,
             elapsed_s=time.perf_counter() - t0,
@@ -494,14 +514,26 @@ def run_abc_smc(
     )
 
 
-class _PathObjective:
-    """Simulation shared by the objectives: ``n_paths`` paths per call.
+#: Most paths one simulator call of an objective steps: a chunk's slots are
+#: simulated in blocks of as many whole slots as fit, at least one.
+PATHS_PER_BLOCK = 1200
 
-    Each copy of the objective simulates in one workspace of its own, made
-    on first use and reused from call to call. The workspace is left out of
-    pickles, so the objective sent to pool workers stays small; since every
-    ``submit`` pickles the objective anew, a worker makes one workspace per
-    submitted chunk.
+
+class _PathObjective:
+    """Simulation shared by the objectives: ``n_paths`` paths per slot.
+
+    ``objective(thetas, rngs)`` scores a chunk of k slots, parameter rows
+    (k, d) and one simulation stream each, as a (k, L) array. The slots
+    are simulated in blocks of up to ``PATHS_PER_BLOCK`` paths, one
+    ``simulate_paths`` call each, and every slot is scored on its own paths
+    exactly as a chunk of that slot alone would score it.
+
+    Each copy of the objective simulates in one block-sized workspace of its
+    own, made on first use and reused from block to block; a short last
+    block uses its start. The workspace is left out of pickles, so the
+    objective sent to pool workers stays small; since every ``submit``
+    pickles the objective anew, a worker makes one workspace per submitted
+    chunk.
     """
 
     def __init__(self, model, observed: Dataset, sim_replicates: int):
@@ -509,12 +541,20 @@ class _PathObjective:
             raise ValueError("sim_replicates must be positive")
         self.model = model
         self.n_paths = self.calls_per_evaluation = len(observed) * sim_replicates
+        self.slots_per_block = max(1, PATHS_PER_BLOCK // self.n_paths)
         self._workspace = None
 
-    def _simulate(self, theta, rng) -> np.ndarray:
+    def __call__(self, thetas, rngs) -> np.ndarray:
         if self._workspace is None:
-            self._workspace = self.model.workspace(self.n_paths)
-        return self.model.simulate_paths(theta, self.n_paths, rng, self._workspace)
+            self._workspace = self.model.workspace(self.slots_per_block * self.n_paths)
+        n, block = self.n_paths, self.slots_per_block
+        scores = []
+        for start in range(0, len(thetas), block):
+            states = self.model.simulate_paths(
+                thetas[start : start + block], n, rngs[start : start + block], self._workspace
+            )
+            scores += [self._score(states[i : i + n]) for i in range(0, len(states), n)]
+        return np.array(scores).reshape(len(thetas), -1)
 
     def __getstate__(self):
         return dict(self.__dict__, _workspace=None)
@@ -528,8 +568,7 @@ class AuxiliaryObjective(_PathObjective):
         self.observed_summary = summarize(observed)
         self.weight = information_weight(self.observed_summary, len(observed))
 
-    def __call__(self, theta, rng) -> float:
-        states = self._simulate(theta, rng)
+    def _score(self, states) -> float:
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
         return auxiliary_distance(self.observed_summary, summarize(simulated), self.weight)
 
@@ -542,10 +581,10 @@ class NaiveObjective(_PathObjective):
         self.observed = observed
         self.observed_terms = observed_energy_terms(observed)
 
-    def __call__(self, theta, rng) -> np.ndarray:
+    def _score(self, states) -> np.ndarray:
         # naive_distance's results depend on the memory layout of its input,
         # so it gets the C-contiguous (n, H + 1, 2) array it has always had.
-        states = np.ascontiguousarray(self._simulate(theta, rng))
+        states = np.ascontiguousarray(states)
         simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
         return naive_distance(self.observed, simulated, self.observed_terms)
 

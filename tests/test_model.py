@@ -86,8 +86,30 @@ def test_paths_are_the_kernel_on_path_major_shocks_bit_for_bit():
         assert fresh.flags.c_contiguous
         np.testing.assert_array_equal(fresh, expected)
         np.testing.assert_array_equal(reused, expected)
-    with pytest.raises(ValueError, match="holds 300 paths"):
-        model.simulate_paths(theta, 200, 1, workspace)
+    # Fewer paths use the workspace's start; more than it holds are refused.
+    fewer = model.simulate_paths(theta, 200, rng_mod.substream(6, 2), workspace)
+    np.testing.assert_array_equal(fewer, model.simulate_paths(theta, 200, rng_mod.substream(6, 2)))
+    with pytest.raises(ValueError, match="holds 300 paths, fewer than 400"):
+        model.simulate_paths(theta, 400, 1, workspace)
+
+
+@pytest.mark.parametrize("n", [60, 600])
+def test_parameter_rows_with_their_own_streams_match_one_row_calls(n):
+    # k rows through one call equal k one-row calls bit for bit, whether
+    # the call allocates its arrays or uses the start of a larger workspace.
+    model = ErythroblastModel()
+    thetas = np.random.default_rng(n).uniform(PRIOR.lows, PRIOR.highs, (5, 6))
+    streams = lambda: [rng_mod.substream(8, 3, slot) for slot in range(5)]
+    singles = np.concatenate(
+        [model.simulate_paths(theta, n, rng) for theta, rng in zip(thetas, streams())]
+    )
+    fresh = model.simulate_paths(thetas, n, streams())
+    reused = model.simulate_paths(thetas, n, streams(), model.workspace(7 * n))
+    assert fresh.shape == (5 * n, 11, 2) and fresh.flags.c_contiguous
+    np.testing.assert_array_equal(fresh.view(np.int64), singles.view(np.int64))
+    np.testing.assert_array_equal(reused.view(np.int64), singles.view(np.int64))
+    with pytest.raises(ValueError, match="5 parameter rows, 4 streams"):
+        model.simulate_paths(thetas, n, streams()[:4])
 
 
 def test_inhibitor_integrates_density_increments_without_decay():
@@ -115,6 +137,35 @@ def test_nonfinite_state_reports_earliest_step():
     with pytest.raises(SimulationError) as err:
         model.simulate_paths_multi(np.vstack([THETA_REF, theta, theta]), np.random.default_rng(0))
     assert (err.value.path_index, err.value.step) == (1, 2)
+
+
+def test_nonfinite_state_in_a_later_row_raises_as_that_row_alone():
+    # With no switch and a huge growth rate each density multiplies by about
+    # 3e38 a step from its first shock, so row 2's path 0 overflows at step
+    # 10 and its paths 1 and 2 at step 9. Row 3 overflows at step 3 but
+    # comes later; the error names row 2's path 1 at step 9, counted within
+    # the row, as a call with row 2 alone does.
+    model = ErythroblastModel(init_rho=0.0)
+    thetas = np.tile(THETA_REF, (4, 1))
+    thetas[2] = [2.3e38, 0.0, 2.6, 0.005, 1.0, 0.0]
+    thetas[3] = [1e300, 0.0, 2.6, 0.005, 1.0, 0.0]
+    streams = lambda: [rng_mod.substream(5, slot) for slot in range(4)]
+    with pytest.raises(SimulationError) as alone:
+        model.simulate_paths(thetas[2], 3, streams()[2])
+    with pytest.raises(SimulationError) as err:
+        model.simulate_paths(thetas, 3, streams(), model.workspace(20))
+    assert (alone.value.path_index, alone.value.step) == (1, 9)
+    assert (err.value.path_index, err.value.step) == (1, 9)
+    with pytest.raises(SimulationError) as last:
+        model.simulate_paths(thetas[3], 3, streams()[3])
+    assert last.value.step < 9
+    # An inhibitor that overflows while the density stays finite counts too:
+    # a growing inhibitor (r_d = -1) from 1e308 shuts the density's growth off.
+    inhibitor = ErythroblastModel(init_inh=1e308)
+    growing = np.tile([0.057, 3.4, 2.6, -1.0, 0.0, 0.0], (2, 1))
+    with pytest.raises(SimulationError) as err:
+        inhibitor.simulate_paths(growing, 2, streams()[:2])
+    assert (err.value.path_index, err.value.step) == (0, 1)
 
 
 def test_theta_validation():

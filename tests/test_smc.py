@@ -15,7 +15,7 @@ from hybridabc import smc as smc_mod
 from hybridabc.config import build_config
 from hybridabc.distance import auxiliary_distance, naive_distance, observed_energy_terms
 from hybridabc.lgdbn import summarize
-from hybridabc.model import Dataset, ErythroblastModel, Prior, generate_dataset
+from hybridabc.model import Dataset, ErythroblastModel, Prior, SimulationError, generate_dataset
 from hybridabc.smc import (
     OBJECTIVES,
     AuxiliaryObjective,
@@ -128,6 +128,17 @@ def test_population_distances_are_the_smallest_replicates():
     replicates = np.array([[0.3, 0.1, 0.9], [0.5, 0.6, 0.4]])
     pop = Population(np.zeros((2, 1)), np.ones(2), replicates, 0.5, 1)
     np.testing.assert_array_equal(pop.distances, [0.1, 0.4])
+
+
+def test_population_ess_is_the_kish_effective_sample_size():
+    def ess(weights):
+        zeros = np.zeros((len(weights), 1))
+        return Population(zeros, np.array(weights), zeros, 0.0, 1).ess
+
+    assert ess(np.full(7, 0.3)) == pytest.approx(7.0, rel=1e-15)
+    assert ess(np.ones(5)) == 5.0
+    assert ess([0.0, 0.0, 3.0, 0.0]) == 1.0
+    assert ess([1.0, 3.0]) == pytest.approx(16.0 / 10.0, rel=1e-15)
 
 
 def test_adapt_kernel_doubles_weighted_covariance():
@@ -414,6 +425,9 @@ def test_engine_histories_and_counters():
         assert record.simulator_calls == record.n_evaluations
     # Generation 1 draws from the prior; later ones count moves that left it.
     assert records[0].prior_rejections == 0
+    # Generation 1 keeps equal weights: its ESS is the retained count.
+    assert records[0].ess == records[0].n_retained
+    assert all(0.0 < r.ess <= r.n_retained for r in records)
     assert all(type(r.prior_rejections) is int and r.prior_rejections >= 0 for r in records)
     assert posterior.n_evaluations == records[-1].n_evaluations
     # Tolerances tighten monotonically at alpha = 1/2.
@@ -506,44 +520,119 @@ def test_objectives_are_deterministic_given_the_stream():
     observed = generate_dataset(theta, (3.0, 0.0), 3, 1, 10, 3.0, rng=2)
     for method, build in OBJECTIVES.items():
         objective = build(model, observed, sim_replicates=2)
-        d1 = objective(theta, rng_mod.substream(9, 0))
-        d2 = objective(theta, rng_mod.substream(9, 0))
-        d3 = objective(theta, rng_mod.substream(9, 1))
+        d1 = objective(theta[None], [rng_mod.substream(9, 0)])
+        d2 = objective(theta[None], [rng_mod.substream(9, 0)])
+        d3 = objective(theta[None], [rng_mod.substream(9, 1)])
         np.testing.assert_array_equal(d1, d2)
         assert not np.array_equal(d1, d3)
-        assert np.shape(d1) == ((2,) if method == "naive" else ())
-        assert np.all(np.asarray(d1) >= 0.0) and np.isfinite(d1).all()
+        assert d1.shape == ((1, 2) if method == "naive" else (1, 1))
+        assert np.all(d1 >= 0.0) and np.isfinite(d1).all()
+
+
+def _one_slot_scores(objective, observed, thetas, rngs):
+    """Each slot scored on its own fresh C-contiguous simulation, (k, L)."""
+    model = objective.model
+    terms = observed_energy_terms(observed)
+    scores = []
+    for theta, rng in zip(thetas, rngs):
+        states = model.simulate_paths(theta, objective.n_paths, rng)
+        simulated = Dataset(states=states[:, :, :1], dt=model.dt)
+        if isinstance(objective, NaiveObjective):
+            scores.append(naive_distance(observed, simulated, terms))
+        else:
+            eta = summarize(simulated)
+            scores.append([auxiliary_distance(objective.observed_summary, eta, objective.weight)])
+    return np.array(scores)
 
 
 @pytest.mark.parametrize("method", ["auxiliary", "naive"])
 def test_one_chunk_matches_one_slot_chunks(method):
-    # One objective reuses its workspace over a chunk of 7 particles; each
-    # particle still scores what its own fresh C-contiguous simulation does.
-    # With 20 observed paths naive_distance reads a strided view of the
-    # workspace differently from a contiguous copy.
+    # One objective simulates a chunk of 7 particles in one block-sized
+    # workspace; each particle still scores what its own fresh C-contiguous
+    # simulation does. With 20 observed paths naive_distance reads a
+    # strided view of the workspace differently from a contiguous copy.
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
     objective = OBJECTIVES[method](model, observed, sim_replicates=5)
-    terms = observed_energy_terms(observed)
     thetas = np.random.default_rng(6).uniform(PRIOR.lows, PRIOR.highs, (7, 6))
     slots = np.arange(10, 17)
     chunk = _evaluate_chunk(objective, 3, 2, slots, thetas)
-    singles = []
-    for slot, theta_i in zip(slots, thetas):
-        rng = rng_mod.substream(3, rng_mod.STREAM_SIMULATION, 2, slot)
-        states = model.simulate_paths(theta_i, objective.n_paths, rng)
-        simulated = Dataset(states=states[:, :, :1], dt=model.dt)
-        if method == "naive":
-            singles.append(naive_distance(observed, simulated, terms))
-        else:
-            eta = summarize(simulated)
-            singles.append([auxiliary_distance(objective.observed_summary, eta, objective.weight)])
+    rngs = [rng_mod.substream(3, rng_mod.STREAM_SIMULATION, 2, slot) for slot in slots]
     assert chunk.shape == ((7, 5) if method == "naive" else (7, 1))
-    np.testing.assert_array_equal(chunk, np.array(singles))
-    # The workspace stays behind when the objective goes to a pool worker.
-    assert objective._workspace is not None
+    np.testing.assert_array_equal(chunk, _one_slot_scores(objective, observed, thetas, rngs))
+    # One workspace holds a whole block of 12 slots of 100 paths, and it
+    # stays behind when the objective goes to a pool worker.
+    assert objective.slots_per_block == smc_mod.PATHS_PER_BLOCK // 100 == 12
+    assert [buffer.size for buffer in objective._workspace] == [24000, 24000, 26400]
     assert pickle.loads(pickle.dumps(objective))._workspace is None
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+@pytest.mark.parametrize(("replicates", "slots", "blocks"), [(3, 25, [20, 5]), (30, 3, [2, 1])])
+def test_chunks_across_block_boundaries_match_one_slot_scoring(
+    method, replicates, slots, blocks, monkeypatch
+):
+    # 20 observed paths times 3 or 30 replicates: 60-path slots go 20 to a
+    # 1,200-path block and 600-path slots go 2, so these chunks end in a
+    # short block on the workspace's start.
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = OBJECTIVES[method](model, observed, sim_replicates=replicates)
+    thetas = np.random.default_rng(slots).uniform(PRIOR.lows, PRIOR.highs, (slots, 6))
+    streams = lambda: [rng_mod.substream(4, rng_mod.STREAM_SIMULATION, 1, s) for s in range(slots)]
+    calls = []
+    simulate = ErythroblastModel.simulate_paths
+    monkeypatch.setattr(
+        ErythroblastModel,
+        "simulate_paths",
+        lambda self, rows, *args: calls.append(len(rows)) or simulate(self, rows, *args),
+    )
+    chunk = objective(thetas, streams())
+    monkeypatch.undo()
+    assert calls == blocks
+    expected = _one_slot_scores(objective, observed, thetas, streams())
+    assert chunk.shape == expected.shape == (slots, replicates if method == "naive" else 1)
+    np.testing.assert_array_equal(chunk.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_objective_raises_a_later_slots_simulation_error_as_that_slot_alone(method):
+    # Slot 23 of 25 sits in the second block; its paths overflow (see
+    # test_model) and its error counts the path within the slot. Slot 24
+    # overflows at an earlier step but comes later.
+    model = ErythroblastModel(init_rho=0.0)
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (0.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = OBJECTIVES[method](model, observed, sim_replicates=3)
+    thetas = np.tile(theta, (25, 1))
+    thetas[23] = [2.3e38, 0.0, 2.6, 0.005, 1.0, 0.0]
+    thetas[24] = [1e300, 0.0, 2.6, 0.005, 1.0, 0.0]
+    rngs = [rng_mod.substream(2, slot) for slot in range(25)]
+    with pytest.raises(SimulationError) as alone:
+        model.simulate_paths(thetas[23], 60, rng_mod.substream(2, 23))
+    with pytest.raises(SimulationError) as err:
+        objective(thetas, rngs)
+    assert alone.value.path_index < 60
+    assert (err.value.path_index, err.value.step) == (alone.value.path_index, alone.value.step)
+
+
+def test_plain_callables_are_called_once_per_slot():
+    calls = []
+
+    def distance(theta, rng):
+        calls.append((float(theta[0]), rng.random()))
+        return abs(float(theta[0]))
+
+    thetas = np.array([[0.5], [-0.25], [2.0]])
+    chunk = _evaluate_chunk(distance, 8, 3, np.array([4, 5, 6]), thetas)
+    np.testing.assert_array_equal(chunk, [[0.5], [0.25], [2.0]])
+    expected = [
+        (theta, rng_mod.substream(8, rng_mod.STREAM_SIMULATION, 3, slot).random())
+        for theta, slot in zip((0.5, -0.25, 2.0), (4, 5, 6))
+    ]
+    assert calls == expected
 
 
 def test_run_inference_counts_simulator_calls():
@@ -600,7 +689,7 @@ def test_replicate_runs_do_not_depend_on_worker_count():
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=8)
     objective = NaiveObjective(model, observed, sim_replicates=3)
-    assert objective(theta, rng_mod.substream(1, 0)).shape == (3,)
+    assert objective(theta[None], [rng_mod.substream(1, 0)]).shape == (1, 3)
     settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.2, max_generations=3)
     serial = run_abc_smc(PRIOR, objective, settings, seed=6, workers=1)
     pooled = run_abc_smc(PRIOR, objective, settings, seed=6, workers=2)
