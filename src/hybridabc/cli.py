@@ -137,9 +137,9 @@ def _print_record(args, record, **labels) -> None:
     """One JSON progress line: the labels, then the ``GenerationRecord`` fields."""
     if args.quiet:
         return
-    payload = dict(labels, **dataclasses.asdict(record))
-    payload["elapsed_s"] = round(record.elapsed_s, 3)
-    print(json.dumps(payload), file=sys.stderr)
+    fields = dataclasses.asdict(record)
+    rounded = {k: round(v, 3) if k.endswith("_s") else v for k, v in fields.items()}
+    print(json.dumps(dict(labels, **rounded)), file=sys.stderr)
 
 
 def cmd_infer(args) -> int:

@@ -108,6 +108,10 @@ class ReplicationRecord:
     ratio: float
     generations: int
     simulator_calls: int
+    evaluations: int
+    stopped_by: str
+    #: Kish effective sample size of the final generation's retained weights
+    ess: float
 
 
 @dataclass(eq=False)
@@ -274,6 +278,9 @@ def run_cell(
                     ratio=ratio,
                     generations=rec["posterior"].generations,
                     simulator_calls=rec["posterior"].simulator_calls,
+                    evaluations=rec["posterior"].n_evaluations,
+                    stopped_by=rec["posterior"].stopped_by,
+                    ess=rec["posterior"].history[-1].ess,
                 )
             )
         if not result.predictive:

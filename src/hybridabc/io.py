@@ -189,6 +189,9 @@ def write_replications(path, cell, config_echo: dict) -> None:
             rec.seed,
             rec.generations,
             rec.simulator_calls,
+            rec.evaluations,
+            rec.stopped_by,
+            rec.ess,
         )
         for rec in cell.records
     ]
@@ -208,6 +211,9 @@ def write_replications(path, cell, config_echo: dict) -> None:
             "seed",
             "generations",
             "simulator_calls",
+            "evaluations",
+            "stopped_by",
+            "ess",
         ],
         rows,
         meta={"failures": json.dumps([[r, reason] for r, reason in cell.failures])},

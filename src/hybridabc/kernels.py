@@ -70,23 +70,26 @@ def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None
 def aux_summary_1d(x: np.ndarray) -> np.ndarray:
     """Per-time mean, lag-one regression weight, and marginal std of paths.
 
-    ``x`` has shape (n, T). The result concatenates the T means, the T - 1
-    regression weights of centered step t + 1 on centered step t, and the T
-    marginal stds (maximum-likelihood, divisor n), in that order.
+    ``x`` has shape (..., n, T): one bundle of n paths of T steps, or a
+    stack of bundles. For each bundle the result concatenates the T means,
+    the T - 1 regression weights of centered step t + 1 on centered step t,
+    and the T marginal stds (maximum-likelihood, divisor n), in that order,
+    so it has shape (..., 3T - 1). Each bundle gets the bits it gets alone.
     """
     # Every reduction below runs along contiguous time-major rows; the
-    # workspace's (n, T) view has them already, other inputs are copied.
-    xt = np.asarray(x, dtype=float).T
-    xt = xt if xt.strides[1] == xt.itemsize else np.ascontiguousarray(xt)
-    n = xt.shape[1]
-    mu = xt.sum(axis=1) / n
-    xc = xt - mu[:, None]
-    sq = np.einsum("ij,ij->i", xc, xc)
+    # workspace's (k, n, T) view of a block has them already, other inputs
+    # are copied.
+    xt = np.swapaxes(np.asarray(x, dtype=float), -1, -2)
+    xt = xt if xt.strides[-1] == xt.itemsize else np.ascontiguousarray(xt)
+    n = xt.shape[-1]
+    mu = xt.sum(axis=-1) / n
+    xc = xt - mu[..., None]
+    sq = np.einsum("...ij,...ij->...i", xc, xc)
     sd = np.sqrt(sq / n)
-    num = np.einsum("ij,ij->i", xc[:-1], xc[1:])
-    den = sq[:-1]
+    num = np.einsum("...ij,...ij->...i", xc[..., :-1, :], xc[..., 1:, :])
+    den = sq[..., :-1]
     psi = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
-    return np.concatenate([mu, psi, sd])
+    return np.concatenate([mu, psi, sd], axis=-1)
 
 
 def warmup() -> None:

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .distance import auxiliary_distance, information_weight, naive_distance
 from .distance import observed_energy_terms
 from .lgdbn import summarize
@@ -206,6 +207,12 @@ class GenerationRecord:
     proposals that landed outside the prior; generation 1 draws from the
     prior and counts 0. ``ess`` is the Kish effective sample size of the
     retained particles' weights.
+
+    The ``_s`` fields are wall times in seconds of the calling process.
+    ``propose_s`` covers the kernel adaptation and the proposals (for
+    generation 1, the prior draws), ``evaluate_s`` the distance evaluation,
+    waiting on the pool included, and ``weight_s`` the importance weights
+    and the retention step. ``elapsed_s`` counts from the start of the run.
     """
 
     generation: int
@@ -216,6 +223,9 @@ class GenerationRecord:
     ess: float
     n_evaluations: int
     simulator_calls: int
+    propose_s: float
+    evaluate_s: float
+    weight_s: float
     elapsed_s: float
 
 
@@ -374,13 +384,33 @@ def _evaluate_chunk(objective, seed, generation, slots, thetas):
     return np.stack([np.atleast_1d(objective(theta, rng)) for theta, rng in zip(thetas, rngs)])
 
 
+#: The objective of the run a pool worker serves, installed once when the
+#: worker starts; only the pool's initializer sets it.
+_worker_objective = None
+
+
+def _install_objective(objective) -> None:
+    global _worker_objective
+    _worker_objective = objective
+
+
+def _evaluate_in_worker(seed, generation, slots, thetas):
+    """``_evaluate_chunk`` with this worker's installed objective."""
+    return _evaluate_chunk(_worker_objective, seed, generation, slots, thetas)
+
+
 def _evaluate(objective, seed, generation, slots, thetas, executor, workers):
+    """(len(slots), L) distances, evaluated here or split over the pool.
+
+    The pool's workers hold ``objective`` from their start, so each submit
+    sends only its chunk of slots and parameter rows.
+    """
     slots = np.asarray(list(slots))
     if executor is None or len(slots) < 2 * workers:
         return _evaluate_chunk(objective, seed, generation, slots, thetas)
     pieces = np.array_split(np.arange(len(slots)), workers)
     futures = [
-        executor.submit(_evaluate_chunk, objective, seed, generation, slots[p], thetas[p])
+        executor.submit(_evaluate_in_worker, seed, generation, slots[p], thetas[p])
         for p in pieces
         if len(p)
     ]
@@ -403,7 +433,8 @@ def run_abc_smc(
         Sampling distribution and density for parameter vectors.
     objective : callable
         Distance between data simulated under a parameter vector and the
-        observed data, the same L replicates for every particle. A
+        observed data, the same L replicates for every particle. Each
+        pool worker is given the objective once, when it starts. A
         generation's slots go to the workers in chunks, and each chunk
         builds every slot's simulation stream, ``substream(seed,
         STREAM_SIMULATION, generation, slot)``. The package's objectives
@@ -434,16 +465,25 @@ def run_abc_smc(
     n_keep = math.floor(settings.alpha * N)
     n_new = N - n_keep
     calls_per_eval = int(getattr(objective, "calls_per_evaluation", 1))
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = None
+    if workers > 1:
+        executor = ProcessPoolExecutor(
+            max_workers=workers, initializer=_install_objective, initargs=(objective,)
+        )
     history = []
 
-    def retain(thetas, weights, replicates, generation, p_acc, prior_rejections):
-        """Keep the pool's particles within the alpha quantile of their smallest replicates."""
+    def retain(thetas, weights, replicates, generation, p_acc, prior_rejections, clock):
+        """Keep the pool's particles within the alpha quantile of their smallest replicates.
+
+        ``clock`` holds the times the generation's proposals started, its
+        evaluation started and its weighting started.
+        """
         distances = replicates.min(axis=1)
         tol = adapt_tolerance(distances, settings.alpha)
         keep = distances <= tol
         population = Population(thetas[keep], weights[keep], replicates[keep], tol, generation)
         n_evaluations = N + (generation - 1) * n_new
+        now = time.perf_counter()
         record = GenerationRecord(
             generation=generation,
             tolerance=tol,
@@ -453,7 +493,10 @@ def run_abc_smc(
             ess=population.ess,
             n_evaluations=n_evaluations,
             simulator_calls=n_evaluations * calls_per_eval,
-            elapsed_s=time.perf_counter() - t0,
+            propose_s=clock[1] - clock[0],
+            evaluate_s=clock[2] - clock[1],
+            weight_s=now - clock[2],
+            elapsed_s=now - t0,
         )
         history.append(record)
         if progress is not None:
@@ -461,11 +504,14 @@ def run_abc_smc(
         return population
 
     try:
+        clock = [time.perf_counter()]
         thetas = np.empty((N, prior.dim))
         for slot in range(N):
             thetas[slot] = prior.sample(substream(seed, STREAM_PROPOSAL, 0, slot))
+        clock.append(time.perf_counter())
         replicates = _evaluate(objective, seed, 0, range(N), thetas, executor, workers)
-        population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0)
+        clock.append(time.perf_counter())
+        population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0, clock)
 
         stopped_by = "acceptance-rate"
         while history[-1].p_acc > settings.p_acc_min:
@@ -473,11 +519,14 @@ def run_abc_smc(
             if generation >= settings.max_generations:
                 stopped_by = "max-generations"
                 break
+            clock = [time.perf_counter()]
             kernel = adapt_kernel(population)
             slots = range(n_keep, N)
             rngs = [substream(seed, STREAM_PROPOSAL, generation, slot) for slot in slots]
             new_thetas, prior_rejections = _propose(population, kernel, prior, rngs)
+            clock.append(time.perf_counter())
             new_reps = _evaluate(objective, seed, generation, slots, new_thetas, executor, workers)
+            clock.append(time.perf_counter())
 
             accepted = new_reps.min(axis=1) <= population.tolerance
             new_w = compute_weight(new_thetas, population, kernel, prior, accepted)
@@ -494,6 +543,7 @@ def run_abc_smc(
                 generation + 1,
                 p_acc,
                 prior_rejections,
+                clock,
             )
     finally:
         if executor is not None:
@@ -525,15 +575,14 @@ class _PathObjective:
     ``objective(thetas, rngs)`` scores a chunk of k slots, parameter rows
     (k, d) and one simulation stream each, as a (k, L) array. The slots
     are simulated in blocks of up to ``PATHS_PER_BLOCK`` paths, one
-    ``simulate_paths`` call each, and every slot is scored on its own paths
-    exactly as a chunk of that slot alone would score it.
+    ``simulate_paths`` call each, and each block is scored in one pass
+    that gives every slot the bits a chunk of that slot alone gives it.
 
     Each copy of the objective simulates in one block-sized workspace of its
     own, made on first use and reused from block to block; a short last
-    block uses its start. The workspace is left out of pickles, so the
-    objective sent to pool workers stays small; since every ``submit``
-    pickles the objective anew, a worker makes one workspace per submitted
-    chunk.
+    block uses its start. Scratch buffers are left out of pickles. A pool
+    worker is given the objective once, when it starts, so it keeps one
+    workspace for the whole run.
     """
 
     def __init__(self, model, observed: Dataset, sim_replicates: int):
@@ -553,8 +602,8 @@ class _PathObjective:
             states = self.model.simulate_paths(
                 thetas[start : start + block], n, rngs[start : start + block], self._workspace
             )
-            scores += [self._score(states[i : i + n]) for i in range(0, len(states), n)]
-        return np.array(scores).reshape(len(thetas), -1)
+            scores.append(self._score(states))
+        return np.concatenate(scores)
 
     def __getstate__(self):
         return dict(self.__dict__, _workspace=None)
@@ -568,9 +617,11 @@ class AuxiliaryObjective(_PathObjective):
         self.observed_summary = summarize(observed)
         self.weight = information_weight(self.observed_summary, len(observed))
 
-    def _score(self, states) -> float:
-        simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
-        return auxiliary_distance(self.observed_summary, summarize(simulated), self.weight)
+    def _score(self, states) -> np.ndarray:
+        """(k, 1) distances of a block's k slots: one summary fit and one distance call."""
+        paths = states[:, :, 0].reshape(-1, self.n_paths, states.shape[1])
+        summaries = kernels.aux_summary_1d(paths)
+        return auxiliary_distance(self.observed_summary, summaries, self.weight)[:, None]
 
 
 class NaiveObjective(_PathObjective):
@@ -580,13 +631,27 @@ class NaiveObjective(_PathObjective):
         super().__init__(model, observed, sim_replicates)
         self.observed = observed
         self.observed_terms = observed_energy_terms(observed)
+        self._copy = None
 
     def _score(self, states) -> np.ndarray:
-        # naive_distance's results depend on the memory layout of its input,
-        # so it gets the C-contiguous (n, H + 1, 2) array it has always had.
-        states = np.ascontiguousarray(states)
-        simulated = Dataset(states=states[:, :, : self.model.observed_dim], dt=self.model.dt)
-        return naive_distance(self.observed, simulated, self.observed_terms)
+        """(k, L) distances of a block's k slots from one ``naive_distance`` call.
+
+        naive_distance's results depend on the memory layout of its input,
+        so the block is copied into a C-contiguous (paths, H + 1, 2) buffer,
+        kept from block to block: each slot's rows are then laid out as a
+        fresh array of that slot alone, and the block's k * L batches are
+        the slots' own, in order.
+        """
+        if self._copy is None:
+            self._copy = np.empty((self.slots_per_block * self.n_paths,) + states.shape[1:])
+        copy = self._copy[: len(states)]
+        np.copyto(copy, states)
+        simulated = Dataset(states=copy[:, :, : self.model.observed_dim], dt=self.model.dt)
+        distances = naive_distance(self.observed, simulated, self.observed_terms)
+        return distances.reshape(len(states) // self.n_paths, -1)
+
+    def __getstate__(self):
+        return dict(super().__getstate__(), _copy=None)
 
 
 #: Distance objectives by method name, in the order a study runs them.

@@ -423,6 +423,7 @@ def test_cli_experiment_smoke(tmp_path):
     assert columns == [
         "method", "v", "m", "ks_rho", "ks_I", "runtime_s", "ratio",
         "replication", "seed", "generations", "simulator_calls",
+        "evaluations", "stopped_by", "ess",
     ]
     assert len(rep_rows) == 4  # 2 methods x 2 replications
     reps = [dict(zip(columns, row)) for row in rep_rows]
@@ -430,6 +431,14 @@ def test_cli_experiment_smoke(tmp_path):
     for r in reps:
         rep = r["replication"]
         assert float(r["ratio"]) == runtime[rep, "naive"] / runtime[rep, "auxiliary"]
+        # 24 particles refill 12 a generation; each evaluation simulates
+        # 3 observed paths times 2 replicates.
+        generations, evaluations = int(r["generations"]), int(r["evaluations"])
+        assert evaluations == 24 + (generations - 1) * 12
+        assert int(r["simulator_calls"]) == 6 * evaluations
+        capped = "max-generations" if generations == 4 else "acceptance-rate"
+        assert r["stopped_by"] in {"acceptance-rate", capped}
+        assert 0.0 < float(r["ess"]) <= 24
 
 
 def test_console_script_entry_point():

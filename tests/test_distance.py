@@ -29,6 +29,25 @@ def test_auxiliary_distance_applies_scales():
 def test_auxiliary_distance_rejects_layout_mismatch():
     with pytest.raises(ValueError, match="summary shapes differ"):
         auxiliary_distance(np.zeros(5), np.zeros(8), np.eye(8))
+    with pytest.raises(ValueError, match="summary shapes differ"):
+        auxiliary_distance(np.zeros(5), np.zeros((3, 8)), np.eye(5))
+    with pytest.raises(ValueError, match="summary shapes differ"):
+        auxiliary_distance(np.zeros(5), np.zeros((2, 3, 5)), np.eye(5))
+
+
+def test_auxiliary_distance_of_a_stack_is_each_row_alone_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for size, rows, count in [(32, 29, 20), (32, 31, 2), (17, 15, 1)]:
+        weight = np.tril(rng.normal(size=(rows, size)))
+        observed = rng.normal(size=size)
+        stack = rng.normal(size=(count, size))
+        distances = auxiliary_distance(observed, stack, weight)
+        assert distances.shape == (count,)
+        for simulated, distance in zip(stack, distances):
+            alone = auxiliary_distance(observed, simulated, weight)
+            diff = weight @ (observed - simulated)
+            assert type(alone) is float
+            assert distance == alone == float(np.sqrt(np.dot(diff, diff)))
 
 
 def test_auxiliary_distance_rejects_wrong_scale_length():

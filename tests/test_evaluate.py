@@ -334,6 +334,9 @@ def test_replication_record_is_plain_data():
         ratio=1.5,
         generations=3,
         simulator_calls=100,
+        evaluations=50,
+        stopped_by="acceptance-rate",
+        ess=7.5,
     )
     assert rec.method == "auxiliary"
     empty = CellResult(noise=0.1, batches=3)

@@ -56,6 +56,24 @@ def test_summary_reads_a_step_major_view_like_its_copy():
     np.testing.assert_array_equal(in_place.view(np.int64), copied.view(np.int64))
 
 
+def test_summary_of_a_stack_is_each_bundle_alone_bit_for_bit():
+    # A block of k slots of n paths arrives as the (k, n, T) view of a
+    # step-major (T, 2, k * n) workspace. Slot 1 has a step with no spread,
+    # so its regression weight out of that step is exactly 0.
+    rng = np.random.default_rng(8)
+    for k, n, T in [(20, 60, 11), (2, 600, 11), (5, 3, 4)]:
+        buffer = rng.normal(3.0, 1.0, (T, 2, k * n))
+        buffer[2, 0, n : 2 * n] = 2.5
+        view = buffer.transpose(2, 0, 1)[:, :, 0]
+        stacked = kernels.aux_summary_1d(view.reshape(k, n, T))
+        assert stacked.shape == (k, 3 * T - 1)
+        assert stacked[1, T + 2] == 0.0
+        alone = np.stack([kernels.aux_summary_1d(view[i * n : (i + 1) * n]) for i in range(k)])
+        np.testing.assert_array_equal(stacked.view(np.int64), alone.view(np.int64))
+        copied = kernels.aux_summary_1d(np.ascontiguousarray(view.reshape(k, n, T)))
+        np.testing.assert_array_equal(copied.view(np.int64), alone.view(np.int64))
+
+
 def _reference_recurrence(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps):
     """The recurrence with the gate written as the logistic of k_s (k_c - I)."""
     n, steps, _ = eps.shape

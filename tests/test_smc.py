@@ -442,6 +442,17 @@ def test_engine_histories_and_counters():
     assert posterior.weighted_mean()[0] == pytest.approx(1.2, abs=0.4)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_generation_records_time_each_phase_within_the_generation(workers):
+    posterior = run_abc_smc(TOY_PRIOR, TOY, _toy_settings(), seed=6, workers=workers)
+    previous = 0.0
+    for record in posterior.history:
+        phases = (record.propose_s, record.evaluate_s, record.weight_s)
+        assert all(phase >= 0.0 for phase in phases)
+        assert sum(phases) <= record.elapsed_s - previous
+        previous = record.elapsed_s
+
+
 def test_engine_respects_generation_cap():
     posterior = run_abc_smc(
         TOY_PRIOR, TOY, _toy_settings(p_acc_min=0.01, max_generations=3), seed=7
@@ -566,6 +577,10 @@ def test_one_chunk_matches_one_slot_chunks(method):
     assert objective.slots_per_block == smc_mod.PATHS_PER_BLOCK // 100 == 12
     assert [buffer.size for buffer in objective._workspace] == [24000, 24000, 26400]
     assert pickle.loads(pickle.dumps(objective))._workspace is None
+    if method == "naive":
+        # The naive route's C-contiguous copy of a block stays behind too.
+        assert objective._copy.shape == (1200, 11, 2) and objective._copy.flags.c_contiguous
+        assert pickle.loads(pickle.dumps(objective))._copy is None
 
 
 @pytest.mark.parametrize("method", ["auxiliary", "naive"])
@@ -616,6 +631,47 @@ def test_objective_raises_a_later_slots_simulation_error_as_that_slot_alone(meth
         objective(thetas, rngs)
     assert alone.value.path_index < 60
     assert (err.value.path_index, err.value.step) == (alone.value.path_index, alone.value.step)
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_a_worker_keeps_its_objective_and_buffers_across_chunks(method, monkeypatch):
+    # A pool worker is given the objective once; every chunk it evaluates
+    # afterwards scores what _evaluate_chunk scores with a fresh copy, in
+    # the same workspace and copy buffers.
+    monkeypatch.setattr(smc_mod, "_worker_objective", None)
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    build = lambda: OBJECTIVES[method](model, observed, sim_replicates=3)
+    installed = build()
+    smc_mod._install_objective(installed)
+    thetas = np.random.default_rng(9).uniform(PRIOR.lows, PRIOR.highs, (30, 6))
+    buffers = []
+    for slots in (np.arange(0, 25), np.arange(25, 30)):
+        chunk = smc_mod._evaluate_in_worker(4, 2, slots, thetas[slots])
+        expected = _evaluate_chunk(build(), 4, 2, slots, thetas[slots])
+        np.testing.assert_array_equal(chunk.view(np.int64), expected.view(np.int64))
+        copy = [installed._copy] if method == "naive" else []
+        buffers.append([installed._workspace] + copy)
+    assert smc_mod._worker_objective is installed
+    assert all(a is not None and a is b for a, b in zip(*buffers))
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_run_inference_does_not_depend_on_worker_count(method):
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 4, 1, 10, 3.0, rng=17)
+    settings = SmcSettings(n_particles=24, alpha=0.5, p_acc_min=0.05, max_generations=4)
+    runs = [
+        run_inference(
+            ErythroblastModel(), PRIOR, observed, method, settings,
+            sim_replicates=2, seed=19, workers=workers,
+        )
+        for workers in (1, 2)
+    ]
+    for name in ("thetas", "weights", "distances", "tolerances"):
+        serial, pooled = (getattr(run, name) for run in runs)
+        np.testing.assert_array_equal(serial.view(np.int64), pooled.view(np.int64))
 
 
 def test_plain_callables_are_called_once_per_slot():
