@@ -137,7 +137,7 @@ def _print_record(args, record, **labels) -> None:
     """One JSON progress line: the labels, then the ``GenerationRecord`` fields."""
     if args.quiet:
         return
-    fields = dataclasses.asdict(record)
+    fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
     rounded = {k: round(v, 3) if k.endswith("_s") else v for k, v in fields.items()}
     print(json.dumps(dict(labels, **rounded)), file=sys.stderr)
 

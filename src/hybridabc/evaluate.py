@@ -112,6 +112,9 @@ class ReplicationRecord:
     stopped_by: str
     #: Kish effective sample size of the final generation's retained weights
     ess: float
+    #: weighted posterior mean and std of each parameter, in ``PARAM_NAMES`` order
+    posterior_mean: tuple[float, ...]
+    posterior_std: tuple[float, ...]
 
 
 @dataclass(eq=False)
@@ -267,6 +270,7 @@ def run_cell(
         ratio = records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
         for method in OBJECTIVES:
             rec = records[method]
+            posterior = rec["posterior"]
             result.records.append(
                 ReplicationRecord(
                     replication=r,
@@ -276,11 +280,13 @@ def run_cell(
                     ks_inh=rec["ks_inh"],
                     runtime_s=rec["runtime_s"],
                     ratio=ratio,
-                    generations=rec["posterior"].generations,
-                    simulator_calls=rec["posterior"].simulator_calls,
-                    evaluations=rec["posterior"].n_evaluations,
-                    stopped_by=rec["posterior"].stopped_by,
-                    ess=rec["posterior"].history[-1].ess,
+                    generations=posterior.generations,
+                    simulator_calls=posterior.simulator_calls,
+                    evaluations=posterior.n_evaluations,
+                    stopped_by=posterior.stopped_by,
+                    ess=posterior.history[-1].ess,
+                    posterior_mean=tuple(posterior.weighted_mean().tolist()),
+                    posterior_std=tuple(posterior.weighted_std().tolist()),
                 )
             )
         if not result.predictive:

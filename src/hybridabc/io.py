@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .model import Dataset
+from .model import PARAM_NAMES, Dataset
 from .smc import GenerationRecord
 
 _COMMENT = "#"
@@ -173,6 +173,8 @@ def write_history(path, records, config_echo: dict) -> None:
 def write_replications(path, cell, config_echo: dict) -> None:
     """Per-replication records of one grid cell, both methods.
 
+    Each row ends with the weighted posterior mean of every parameter, then
+    its weighted std, as columns ``mean_<name>`` and ``std_<name>``.
     Replications that failed have no rows; the ``failures`` header holds
     them as a JSON list of ``[replication, repr of the exception]`` pairs.
     """
@@ -192,6 +194,8 @@ def write_replications(path, cell, config_echo: dict) -> None:
             rec.evaluations,
             rec.stopped_by,
             rec.ess,
+            *rec.posterior_mean,
+            *rec.posterior_std,
         )
         for rec in cell.records
     ]
@@ -214,6 +218,8 @@ def write_replications(path, cell, config_echo: dict) -> None:
             "evaluations",
             "stopped_by",
             "ess",
+            *(f"mean_{name}" for name in PARAM_NAMES),
+            *(f"std_{name}" for name in PARAM_NAMES),
         ],
         rows,
         meta={"failures": json.dumps([[r, reason] for r, reason in cell.failures])},

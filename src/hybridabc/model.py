@@ -67,14 +67,20 @@ class Prior:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lows, self.highs)
 
-    def contains(self, theta: np.ndarray) -> bool:
+    def contains(self, theta: np.ndarray):
+        """Whether a point (d,) lies in the box, or for each row of (k, d), a (k,) array."""
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} parameters, got shape {theta.shape}")
-        return bool((theta >= self.lows).all() and (theta <= self.highs).all())
+        inside = ((theta >= self.lows) & (theta <= self.highs)).all(axis=-1)
+        return bool(inside) if theta.ndim == 1 else inside
 
-    def density(self, theta: np.ndarray) -> float:
-        return self._inside if self.contains(theta) else 0.0
+    def density(self, theta: np.ndarray):
+        """Density at a point (d,), a float, or at each row of (k, d), a (k,) array."""
+        inside = self.contains(theta)
+        if isinstance(inside, bool):
+            return self._inside if inside else 0.0
+        return np.where(inside, self._inside, 0.0)
 
 
 @dataclass(frozen=True, eq=False)

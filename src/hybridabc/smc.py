@@ -344,17 +344,18 @@ def compute_weight(
     """Importance weights of refill particles (k, d) against the retained mixture.
 
     A refill that was not ``accepted`` or lies outside the prior weighs 0.
-    The kernel densities are computed for ``_WEIGHT_BLOCK`` refills at a
-    time, and each refill's mixture is its own dot product, so every weight
-    is the one its particle alone gets.
+    The prior and kernel densities are computed for ``_WEIGHT_BLOCK``
+    refills at a time, and each refill's mixture is its own dot product, so
+    every weight is the one its particle alone gets.
     """
     weights = np.zeros(len(thetas))
     mix = previous.normalized_weights()
     live = np.flatnonzero(accepted)
     for start in range(0, live.size, _WEIGHT_BLOCK):
         rows = live[start : start + _WEIGHT_BLOCK]
-        for j, densities in zip(rows, kernel.densities(thetas[rows], previous.thetas)):
-            numerator = prior.density(thetas[j])
+        block = thetas[rows]
+        per_row = zip(rows, prior.density(block), kernel.densities(block, previous.thetas))
+        for j, numerator, densities in per_row:
             mixture = mix @ densities
             if numerator == 0.0 or np.isinf(mixture):
                 continue
@@ -505,11 +506,10 @@ def run_abc_smc(
 
     try:
         clock = [time.perf_counter()]
-        thetas = np.empty((N, prior.dim))
-        for slot in range(N):
-            thetas[slot] = prior.sample(substream(seed, STREAM_PROPOSAL, 0, slot))
+        slots = np.arange(N)
+        thetas = np.array([prior.sample(rng) for rng in substream(seed, STREAM_PROPOSAL, 0, slots)])
         clock.append(time.perf_counter())
-        replicates = _evaluate(objective, seed, 0, range(N), thetas, executor, workers)
+        replicates = _evaluate(objective, seed, 0, slots, thetas, executor, workers)
         clock.append(time.perf_counter())
         population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0, clock)
 
@@ -521,8 +521,8 @@ def run_abc_smc(
                 break
             clock = [time.perf_counter()]
             kernel = adapt_kernel(population)
-            slots = range(n_keep, N)
-            rngs = [substream(seed, STREAM_PROPOSAL, generation, slot) for slot in slots]
+            slots = np.arange(n_keep, N)
+            rngs = substream(seed, STREAM_PROPOSAL, generation, slots)
             new_thetas, prior_rejections = _propose(population, kernel, prior, rngs)
             clock.append(time.perf_counter())
             new_reps = _evaluate(objective, seed, generation, slots, new_thetas, executor, workers)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import importlib.metadata
@@ -14,7 +15,7 @@ import pytest
 
 import hybridabc
 from hybridabc import io
-from hybridabc.cli import build_parser, main
+from hybridabc.cli import _print_record, build_parser, main
 from hybridabc.config import PRESETS, ConfigError, build_config, load_config
 from hybridabc.model import generate_dataset
 from hybridabc.smc import OBJECTIVES, GenerationRecord, SmcSettings, run_abc_smc
@@ -368,6 +369,30 @@ def test_progress_lines_and_history_columns_follow_the_generation_record(tmp_pat
     assert len(rows) == len(lines)
 
 
+def test_progress_line_is_the_labels_then_the_rounded_record_fields(capsys):
+    record = GenerationRecord(
+        generation=3,
+        tolerance=0.123456789,
+        p_acc=0.25,
+        prior_rejections=7,
+        n_retained=12,
+        ess=9.87654321,
+        n_evaluations=48,
+        simulator_calls=288,
+        propose_s=0.0123456,
+        evaluate_s=1.0004999,
+        weight_s=0.0,
+        elapsed_s=2.3456789,
+    )
+    _print_record(argparse.Namespace(quiet=False), record, cell="v0.2_m3", method="naive")
+    fields = dataclasses.asdict(record)
+    rounded = {k: round(v, 3) if k.endswith("_s") else v for k, v in fields.items()}
+    want = json.dumps(dict(cell="v0.2_m3", method="naive", **rounded))
+    assert capsys.readouterr().err == want + "\n"
+    _print_record(argparse.Namespace(quiet=True), record, method="naive")
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_infer_rejects_mismatched_dataset(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(TINY_ENGINE)
@@ -424,6 +449,8 @@ def test_cli_experiment_smoke(tmp_path):
         "method", "v", "m", "ks_rho", "ks_I", "runtime_s", "ratio",
         "replication", "seed", "generations", "simulator_calls",
         "evaluations", "stopped_by", "ess",
+        "mean_r_g", "mean_k_s", "mean_k_c", "mean_r_d", "mean_v_rho", "mean_v_I",
+        "std_r_g", "std_k_s", "std_k_c", "std_r_d", "std_v_rho", "std_v_I",
     ]
     assert len(rep_rows) == 4  # 2 methods x 2 replications
     reps = [dict(zip(columns, row)) for row in rep_rows]

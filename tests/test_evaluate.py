@@ -17,7 +17,7 @@ from hybridabc.evaluate import (
     sample_posterior_predictive,
     sample_true_predictive,
 )
-from hybridabc.model import ErythroblastModel
+from hybridabc.model import PARAM_NAMES, ErythroblastModel
 from hybridabc.smc import PosteriorApproximation, SmcSettings
 
 QUICK = SmcSettings(n_particles=30, alpha=0.5, p_acc_min=0.4, max_generations=6)
@@ -252,6 +252,40 @@ def test_replication_failures_reach_the_replications_file(monkeypatch, tmp_path)
     assert sorted({int(row[columns.index("replication")]) for row in rows}) == [0, 1, 3, 4]
 
 
+def test_replications_file_holds_each_posterior_weighted_mean_and_std(monkeypatch, tmp_path):
+    real = evaluate.run_inference
+    posteriors = []
+
+    def recorded(*args, **kwargs):
+        posteriors.append(real(*args, **kwargs))
+        return posteriors[-1]
+
+    monkeypatch.setattr(evaluate, "run_inference", recorded)
+    cell = run_cell(
+        model=ErythroblastModel(),
+        prior=PRIOR,
+        kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
+        noise=0.2,
+        batches=3,
+        settings=QUICK,
+        sim_replicates=2,
+        macro_replications=2,
+        target_t=11,
+        n_predictive=20,
+        seed=800,
+    )
+    path = tmp_path / "replications.csv"
+    io.write_replications(path, cell, {"seed": 800})
+    _, columns, rows = io.read_table(path)
+    assert len(rows) == len(posteriors) == 4
+    for row, posterior in zip(rows, posteriors):
+        values = dict(zip(columns, row))
+        means = [float(values[f"mean_{name}"]) for name in PARAM_NAMES]
+        stds = [float(values[f"std_{name}"]) for name in PARAM_NAMES]
+        assert means == posterior.weighted_mean().tolist()
+        assert stds == posterior.weighted_std().tolist()
+
+
 def test_predictive_draws_come_from_the_first_completed_replication(monkeypatch):
     real = evaluate.run_replication
     returned = {}
@@ -337,6 +371,8 @@ def test_replication_record_is_plain_data():
         evaluations=50,
         stopped_by="acceptance-rate",
         ess=7.5,
+        posterior_mean=(0.1,) * 6,
+        posterior_std=(0.01,) * 6,
     )
     assert rec.method == "auxiliary"
     empty = CellResult(noise=0.1, batches=3)

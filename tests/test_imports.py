@@ -11,7 +11,9 @@ from ``tests/test_acceptance.py`` or from ``tests/helpers.py``. A reference
 is a name, an attribute or a string constant equal to the name, since the
 benchmark patches attributes by name and the engine reads one through
 ``getattr``. Names in an ``__all__`` list are exported, not referenced.
-Dunder methods run without being named and are not checked.
+Dunder methods run without being named and are not checked, nor is
+``generate_state``, which numpy's bit generators call by name on the seed
+sequence they are given.
 
 Every parameter with a default, of such a function or method or of a
 dataclass, is passed by some call in those same places, by keyword or by
@@ -41,6 +43,15 @@ NEEDING = [
     ROOT / "tests" / "test_acceptance.py",
     ROOT / "tests" / "helpers.py",
 ]
+
+
+#: Methods other code calls by name on objects the program hands it, so
+#: nothing under ``src/`` names them; treated like dunders.
+CALLED_BY_NAME = {"generate_state"}
+
+
+def _runs_unnamed(name: str) -> bool:
+    return name.startswith("__") or name in CALLED_BY_NAME
 
 
 def _is_all(node) -> bool:
@@ -85,7 +96,7 @@ def _definitions(tree):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                if isinstance(item, ast.FunctionDef) and not _runs_unnamed(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -138,7 +149,7 @@ def _defaults(tree):
             continue
         for item in node.body:
             if isinstance(item, ast.FunctionDef) and (
-                item.name == "__init__" or not item.name.startswith("__")
+                item.name == "__init__" or not _runs_unnamed(item.name)
             ):
                 call = node.name if item.name == "__init__" else item.name
                 for index, arg in _function_defaults(item, True):
@@ -211,10 +222,14 @@ def test_the_scan_finds_definitions_only_tests_need():
             def __len__(self): return 0
             def by_getattr(self): pass
             def tested(self): pass
+            def generate_state(self, n_words, dtype=None): pass
+            def generate(self): pass
         """
     )
     needing = "used()\nk = Kernel()\ngetattr(k, 'by_getattr')\n"
-    assert unneeded_definitions([source], [needing]) == ["exported", "recursive", "Kernel.tested"]
+    assert unneeded_definitions([source], [needing]) == [
+        "exported", "recursive", "Kernel.tested", "Kernel.generate",
+    ]
 
 
 def test_every_definition_is_needed_beyond_unit_tests():
@@ -243,6 +258,7 @@ def test_the_scan_finds_defaults_no_call_passes():
 
         class Plain:
             def __init__(self, width=1, height=2): pass
+            def generate_state(self, n_words, dtype=None): pass
         """
     )
     needing = "f(0, 1, e=2)\nSettings(1, 2)\ns.scaled(2.0)\nPlain(**sizes)\n"

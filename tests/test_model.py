@@ -197,6 +197,24 @@ def test_default_prior_density_is_box_volume_reciprocal():
     assert PRIOR.density(np.array([-0.01, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
 
 
+def test_prior_block_form_equals_per_row_calls():
+    rng = np.random.default_rng(9)
+    inside = np.array([PRIOR.sample(rng) for _ in range(5)])
+    below, above = PRIOR.lows.copy(), PRIOR.highs.copy()
+    below[2] -= 1e-9
+    above[4] += 1e-9
+    block = np.vstack([inside, PRIOR.lows, PRIOR.highs, below, above])
+    contained = PRIOR.contains(block)
+    densities = PRIOR.density(block)
+    assert contained.shape == densities.shape == (len(block),)
+    assert contained.tolist() == [PRIOR.contains(row) for row in block]
+    assert densities.tolist() == [PRIOR.density(row) for row in block]
+    assert contained.tolist() == [True] * 7 + [False] * 2
+    assert isinstance(PRIOR.contains(block[0]), bool)
+    assert isinstance(PRIOR.density(block[0]), float)
+    assert PRIOR.density(block[:0]).shape == (0,)
+
+
 def test_prior_samples_fill_the_box():
     rng = np.random.default_rng(4)
     draws = np.array([PRIOR.sample(rng) for _ in range(20000)])
@@ -212,8 +230,11 @@ def test_prior_validation():
         Prior(names=("a", "b"), lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Prior(names=("a",), lows=np.array([0.0, 0.0]), highs=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        PRIOR.contains(np.ones(3))
+    for shape in [(3,), (2, 3), (), (2, 2, 6)]:
+        with pytest.raises(ValueError):
+            PRIOR.contains(np.ones(shape))
+        with pytest.raises(ValueError):
+            PRIOR.density(np.ones(shape))
 
 
 def test_true_kinetics_values():
