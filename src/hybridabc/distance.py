@@ -101,22 +101,20 @@ def information_weight(observed: np.ndarray, n_trajectories: int) -> np.ndarray:
 
 def auxiliary_distance(
     observed: np.ndarray, simulated: np.ndarray, weight: np.ndarray
-) -> float | np.ndarray:
-    """Euclidean norm of the summary difference mapped by ``weight``.
+) -> np.ndarray:
+    """Euclidean norm of each summary difference mapped by ``weight``.
 
-    ``weight`` is a (k, S) matrix applied to the length-S difference.
-    ``simulated`` is one summary (S,), giving a float, or a stack (b, S),
-    giving a (b,) array whose row i is the float row i alone gives, bit for
-    bit: each difference is mapped by its own matrix-vector product and
+    ``simulated`` is a stack (b, S) of summaries and ``weight`` a (k, S)
+    matrix; the result is (b,). Row i gets the bits a stack of row i alone
+    gets: each difference is mapped by its own matrix-vector product and
     each norm is its own dot product.
     """
-    if simulated.ndim not in (1, 2) or observed.shape != simulated.shape[-1:]:
+    if simulated.ndim != 2 or observed.shape != simulated.shape[1:]:
         raise ValueError(f"summary shapes differ: {observed.shape} vs {simulated.shape}")
     if weight.shape[1] != observed.shape[0]:
         raise ValueError("weight width does not match the summary length")
-    diff = np.matmul(weight, np.atleast_2d(observed - simulated)[..., None])[..., 0]
-    norms = np.sqrt([np.dot(row, row) for row in diff])
-    return norms if simulated.ndim == 2 else float(norms[0])
+    diff = np.matmul(weight, (observed - simulated)[..., None])[..., 0]
+    return np.sqrt([np.dot(row, row) for row in diff])
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:

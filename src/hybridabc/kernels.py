@@ -15,7 +15,7 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None):
+def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out):
     """Vectorized growth-inhibition recurrence over a batch of paths.
 
     Each of the four kinetic parameters is a scalar shared by every path or
@@ -23,18 +23,16 @@ def simulate_paths_raw(r_g, k_s, k_c, r_d, dt, init_rho, init_inh, eps, out=None
     ``eps`` holds the pre-scaled Gaussian shocks indexed (path, step,
     channel), the channels being (density shock, inhibitor shock); a
     transposed view of a step-major (steps, 2, n) buffer is read without a
-    copy. The states are written step-major into ``out`` (steps + 1, 2, n),
-    allocated when None, and returned as its (n, steps + 1, 2) view.
+    copy. The states are written step-major into the caller's buffer ``out``
+    (steps + 1, 2, n) and returned as its (n, steps + 1, 2) view.
 
     Each step is 13 ufunc calls writing into preallocated (n,) rows, listed
     once per call, so at the tens of paths of a small evaluation the cost
     is mostly those calls' fixed overhead.
     """
-    n, n_steps, _ = eps.shape
+    n = eps.shape[0]
     # Step-major buffers keep every per-step read and write contiguous.
     shocks = np.ascontiguousarray(eps.transpose(1, 2, 0))
-    if out is None:
-        out = np.empty((n_steps + 1, 2, n))
     growth = dt * r_g
     retained = 1.0 - dt * r_d
     gate = np.empty(n)
@@ -100,5 +98,6 @@ def warmup() -> None:
     """
     eps = np.zeros((2, 3, 2))
     ones = np.ones(2)
-    simulate_paths_raw(ones * 0.1, ones, ones, ones * 0.01, 1.0, 1.0, 0.0, eps)
+    out = np.empty((4, 2, 2))
+    simulate_paths_raw(ones * 0.1, ones, ones, ones * 0.01, 1.0, 1.0, 0.0, eps, out)
     aux_summary_1d(np.arange(8.0).reshape(2, 4))

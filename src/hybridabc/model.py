@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .rng import normalize_rng
 
 #: Canonical parameter order used everywhere: growth rate, switch steepness,
 #: switch threshold, inhibitor decay, density shock std, inhibitor shock std.
@@ -42,6 +41,8 @@ class Prior:
 
     Density is the product of reciprocal box widths inside the box and zero
     outside. Bounds are inclusive, which matters only on a null set.
+    ``contains`` holds this rule for every caller, the engine's
+    perturbation step included.
     """
 
     names: tuple[str, ...]
@@ -67,20 +68,16 @@ class Prior:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lows, self.highs)
 
-    def contains(self, theta: np.ndarray):
-        """Whether a point (d,) lies in the box, or for each row of (k, d), a (k,) array."""
+    def contains(self, theta: np.ndarray) -> np.ndarray:
+        """Whether each point (..., d) lies in the box: an array of the leading shape."""
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != self.dim:
+        if theta.ndim < 1 or theta.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} parameters, got shape {theta.shape}")
-        inside = ((theta >= self.lows) & (theta <= self.highs)).all(axis=-1)
-        return bool(inside) if theta.ndim == 1 else inside
+        return ((theta >= self.lows) & (theta <= self.highs)).all(axis=-1)
 
-    def density(self, theta: np.ndarray):
-        """Density at a point (d,), a float, or at each row of (k, d), a (k,) array."""
-        inside = self.contains(theta)
-        if isinstance(inside, bool):
-            return self._inside if inside else 0.0
-        return np.where(inside, self._inside, 0.0)
+    def density(self, theta: np.ndarray) -> np.ndarray:
+        """Density at each point (..., d): an array of the leading shape."""
+        return np.where(self.contains(theta), self._inside, 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,10 +160,10 @@ class ErythroblastModel:
         """Simulate ``n`` full paths under each parameter vector.
 
         ``theta`` is one vector (6,) drawn from the stream ``rng``, or k rows
-        (k, 6) with a sequence of k streams: stream i draws the n paths of
-        row i, exactly as a call with that row alone would, into rows
-        i * n to (i + 1) * n of the result, and one kernel call steps all
-        k * n paths. Returns states of shape (k * n, horizon + 1, 2) with
+        (k, 6) with a sequence of k streams, each a numpy ``Generator``:
+        stream i draws the n paths of row i, exactly as a call with that
+        row alone would, into rows i * n to (i + 1) * n of the result, and
+        one kernel call steps all k * n paths. Returns states of shape (k * n, horizon + 1, 2) with
         columns (rho, I): a fresh C-contiguous array, or, given a
         ``workspace`` from ``self.workspace(size)`` with size >= k * n, a
         view of its start that the next call overwrites. Reusing one
@@ -211,7 +208,7 @@ class ErythroblastModel:
         shocks = workspace[1][: H * 2 * paths].reshape(H, 2, paths)
         states = workspace[2][: (H + 1) * 2 * paths].reshape(H + 1, 2, paths)
         for i, rng in enumerate(rngs):
-            normalize_rng(rng).standard_normal((n, H, 2), out=draws[i * n : (i + 1) * n])
+            rng.standard_normal((n, H, 2), out=draws[i * n : (i + 1) * n])
         per_param = np.ascontiguousarray(per_param)
         # Scaling after the step-major transpose runs each multiply along a
         # whole row of paths instead of over the two shock channels.
@@ -239,7 +236,8 @@ def generate_dataset(theta, init, m: int, L: int, horizon: int, dt: float, rng) 
 
     Each trajectory draws from its own sub-stream spawned off ``rng``, so the
     dataset is a pure function of the seed no matter in which order the
-    trajectories are realized.
+    trajectories are realized. One ``simulate_paths`` call steps them all,
+    one parameter row and one path per stream.
 
     Parameters
     ----------
@@ -261,9 +259,6 @@ def generate_dataset(theta, init, m: int, L: int, horizon: int, dt: float, rng) 
     model = ErythroblastModel(
         init_rho=float(init[0]), init_inh=float(init[1]), dt=dt, horizon=horizon
     )
-    parent = normalize_rng(rng)
-    streams = parent.spawn(m * L)
-    observed = np.empty((m * L, horizon + 1, 1))
-    for i, stream in enumerate(streams):
-        observed[i, :, 0] = model.simulate_paths(theta, 1, stream)[0, :, 0]
-    return Dataset(states=observed, dt=dt)
+    streams = np.random.default_rng(rng).spawn(m * L)
+    states = model.simulate_paths(np.tile(theta, (m * L, 1)), 1, streams)
+    return Dataset(states=np.ascontiguousarray(states[:, :, :1]), dt=dt)

@@ -150,9 +150,3 @@ class _PresetState:
             raise ValueError("a preset state answers generate_state(4, uint64) only")
         return self.state
 
-
-def normalize_rng(rng) -> np.random.Generator:
-    """Accept a Generator, SeedSequence, or integer seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

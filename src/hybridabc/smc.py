@@ -153,7 +153,7 @@ class PerturbationKernel:
         return (self._chol @ z[..., None])[..., 0]
 
     def densities(self, thetas: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        """Density of each point, (d,) or (k, d), around each row of ``centers``."""
+        """(k, n) densities of the points ``thetas`` (k, d) around the ``centers`` (n, d)."""
         diff = np.atleast_2d(centers) - np.asarray(thetas)[..., None, :]
         if self._chol is None:
             at_center = (diff == 0).all(axis=-1)
@@ -290,7 +290,7 @@ def perturb(
     """Gaussian moves of the rows of ``stars`` (k, d), each redrawn until inside the prior.
 
     Row i draws its moves from ``rngs[i]``, ``_PERTURB_BLOCK`` at a time,
-    and keeps the first that lands inside the prior, so each row gets the
+    and keeps the first that ``prior.contains``, so each row gets the
     move that drawing one at a time would give it; the draws left in a
     block are read from the stream and dropped. Returns the moved rows and
     the total number of moves that landed outside the prior before the
@@ -303,7 +303,7 @@ def perturb(
     for _ in range(_MAX_PERTURB_TRIES // _PERTURB_BLOCK):
         moves = kernel.sample([rngs[i] for i in pending], _PERTURB_BLOCK)
         candidates = stars[pending, None, :] + moves
-        inside = ((candidates >= prior.lows) & (candidates <= prior.highs)).all(axis=2)
+        inside = prior.contains(candidates)
         found = inside.any(axis=1)
         first = inside.argmax(axis=1)[found]
         moved[pending[found]] = candidates[found, first]
@@ -344,9 +344,9 @@ def compute_weight(
     """Importance weights of refill particles (k, d) against the retained mixture.
 
     A refill that was not ``accepted`` or lies outside the prior weighs 0.
-    The prior and kernel densities are computed for ``_WEIGHT_BLOCK``
-    refills at a time, and each refill's mixture is its own dot product, so
-    every weight is the one its particle alone gets.
+    The prior and kernel densities are computed for blocks of
+    ``_WEIGHT_BLOCK`` refills, and each refill's mixture is its own dot
+    product, so every weight is the one a block of its particle alone gets.
     """
     weights = np.zeros(len(thetas))
     mix = previous.normalized_weights()

@@ -15,20 +15,24 @@ from hybridabc.model import Dataset, generate_dataset
 def test_auxiliary_distance_is_euclidean():
     a = np.zeros(5)  # H = 1: 2 means, 1 lag weight, 2 stds
     b = np.array([3.0, 0.0, 4.0, 0.0, 0.0])
-    assert auxiliary_distance(a, b, np.eye(5)) == pytest.approx(5.0, rel=1e-15)
-    assert auxiliary_distance(a, a, np.eye(5)) == 0.0
+    distances = auxiliary_distance(a, np.stack([b, a]), np.eye(5))
+    assert distances.shape == (2,)
+    assert distances[0] == pytest.approx(5.0, rel=1e-15)
+    assert distances[1] == 0.0
 
 
 def test_auxiliary_distance_applies_scales():
     a = np.zeros(5)
     b = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
     weight = np.diag([0.5, 1.0, 1.0, 1.0, 1.0])
-    assert auxiliary_distance(a, b, weight) == pytest.approx(1.0, rel=1e-15)
+    assert auxiliary_distance(a, b[None], weight)[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_auxiliary_distance_rejects_layout_mismatch():
     with pytest.raises(ValueError, match="summary shapes differ"):
-        auxiliary_distance(np.zeros(5), np.zeros(8), np.eye(8))
+        auxiliary_distance(np.zeros(5), np.zeros((1, 8)), np.eye(8))
+    with pytest.raises(ValueError, match="summary shapes differ"):
+        auxiliary_distance(np.zeros(5), np.zeros(5), np.eye(5))  # not a stack
     with pytest.raises(ValueError, match="summary shapes differ"):
         auxiliary_distance(np.zeros(5), np.zeros((3, 8)), np.eye(5))
     with pytest.raises(ValueError, match="summary shapes differ"):
@@ -44,16 +48,16 @@ def test_auxiliary_distance_of_a_stack_is_each_row_alone_bit_for_bit():
         distances = auxiliary_distance(observed, stack, weight)
         assert distances.shape == (count,)
         for simulated, distance in zip(stack, distances):
-            alone = auxiliary_distance(observed, simulated, weight)
+            alone = auxiliary_distance(observed, simulated[None], weight)
             diff = weight @ (observed - simulated)
-            assert type(alone) is float
-            assert distance == alone == float(np.sqrt(np.dot(diff, diff)))
+            assert alone.shape == (1,)
+            assert distance == alone[0] == np.sqrt(np.dot(diff, diff))
 
 
 def test_auxiliary_distance_rejects_wrong_scale_length():
     a = np.zeros(5)
     with pytest.raises(ValueError, match="weight width"):
-        auxiliary_distance(a, a, np.eye(4))
+        auxiliary_distance(a, a[None], np.eye(4))
 
 
 def test_standardization_scales_floor():

@@ -103,7 +103,9 @@ def test_simulation_matches_reference_recurrence_bit_for_bit():
     k_s[0] = 5.0
     eps[0, 0, 1] = 500.0
     with np.errstate(all="raise"):
-        out = kernels.simulate_paths_raw(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps)
+        out = kernels.simulate_paths_raw(
+            r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps, np.empty((11, 2, 64))
+        )
     expected = _reference_recurrence(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps)
     assert np.isfinite(out).all()
     np.testing.assert_array_equal(out, expected)
@@ -118,7 +120,7 @@ def test_logistic_tails_are_saturated_and_finite():
     ones = np.ones(5)
     with np.errstate(all="raise"):
         out = kernels.simulate_paths_raw(
-            ones, ones, k_c, 0.0 * ones, 1.0, 1.0, 0.0, np.zeros((5, 1, 2))
+            ones, ones, k_c, 0.0 * ones, 1.0, 1.0, 0.0, np.zeros((5, 1, 2)), np.empty((2, 2, 5))
         )
     rho = out[:, 1, 0]
     assert np.isfinite(rho).all()
@@ -130,7 +132,8 @@ def test_logistic_tails_are_saturated_and_finite():
 def test_dispatchers_report_active_backend():
     assert kernels.BACKEND == "numpy"
     r_g, k_s, k_c, r_d, eps = _simulation_inputs(0, n=4, steps=3)
-    out = kernels.simulate_paths_raw(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps)
-    assert out.shape == (4, 4, 2)
+    buffer = np.empty((4, 2, 4))
+    out = kernels.simulate_paths_raw(r_g, k_s, k_c, r_d, 3.0, 3.0, 0.0, eps, buffer)
+    assert out.shape == (4, 4, 2) and np.shares_memory(out, buffer)
     assert np.all(out[:, 0, 0] == 3.0)
     assert np.all(out[:, 0, 1] == 0.0)

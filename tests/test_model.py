@@ -82,7 +82,7 @@ def test_paths_are_the_kernel_on_path_major_shocks_bit_for_bit():
         reused = model.simulate_paths(theta, n, rng_mod.substream(seed, 2), workspace)
         eps = rng_mod.substream(seed, 2).standard_normal((n, 10, 2)) * theta[4:6]
         kinetics = [np.full(n, value) for value in theta[:4]]
-        expected = kernels.simulate_paths_raw(*kinetics, 3.0, 3.0, 0.0, eps)
+        expected = kernels.simulate_paths_raw(*kinetics, 3.0, 3.0, 0.0, eps, np.empty((11, 2, n)))
         assert fresh.flags.c_contiguous
         np.testing.assert_array_equal(fresh, expected)
         np.testing.assert_array_equal(reused, expected)
@@ -191,10 +191,12 @@ def test_theta_validation():
 def test_default_prior_density_is_box_volume_reciprocal():
     theta_c = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     volume = 0.5 * 5.0 * 5.0 * 0.05 * 0.2 * 0.2
-    assert PRIOR.density(theta_c) == pytest.approx(1.0 / volume, rel=1e-12)
-    assert PRIOR.density(theta_c) == pytest.approx(40.0, rel=1e-12)
-    assert PRIOR.density(np.array([0.6, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
-    assert PRIOR.density(np.array([-0.01, 3.4, 2.6, 0.005, 0.1, 0.1])) == 0.0
+    inside, above, below = PRIOR.density(
+        np.array([theta_c, [0.6, 3.4, 2.6, 0.005, 0.1, 0.1], [-0.01, 3.4, 2.6, 0.005, 0.1, 0.1]])
+    )
+    assert inside == pytest.approx(1.0 / volume, rel=1e-12)
+    assert inside == pytest.approx(40.0, rel=1e-12)
+    assert above == below == 0.0
 
 
 def test_prior_block_form_equals_per_row_calls():
@@ -207,11 +209,14 @@ def test_prior_block_form_equals_per_row_calls():
     contained = PRIOR.contains(block)
     densities = PRIOR.density(block)
     assert contained.shape == densities.shape == (len(block),)
-    assert contained.tolist() == [PRIOR.contains(row) for row in block]
-    assert densities.tolist() == [PRIOR.density(row) for row in block]
+    assert contained.tolist() == [PRIOR.contains(row[None])[0] for row in block]
+    assert densities.tolist() == [PRIOR.density(row[None])[0] for row in block]
     assert contained.tolist() == [True] * 7 + [False] * 2
-    assert isinstance(PRIOR.contains(block[0]), bool)
-    assert isinstance(PRIOR.density(block[0]), float)
+    # Points along the last axis: any leading shape, a single point included.
+    grid = block[:8].reshape(2, 4, 6)
+    assert PRIOR.contains(grid).tolist() == contained[:8].reshape(2, 4).tolist()
+    assert PRIOR.density(grid).tolist() == densities[:8].reshape(2, 4).tolist()
+    assert PRIOR.contains(block[0]).shape == PRIOR.density(block[0]).shape == ()
     assert PRIOR.density(block[:0]).shape == (0,)
 
 
@@ -230,11 +235,13 @@ def test_prior_validation():
         Prior(names=("a", "b"), lows=np.array([0.0, 1.0]), highs=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Prior(names=("a",), lows=np.array([0.0, 0.0]), highs=np.array([1.0, 1.0]))
-    for shape in [(3,), (2, 3), (), (2, 2, 6)]:
+    for shape in [(3,), (2, 3), ()]:
         with pytest.raises(ValueError):
             PRIOR.contains(np.ones(shape))
         with pytest.raises(ValueError):
             PRIOR.density(np.ones(shape))
+    grid = np.ones((2, 2, 6))
+    assert PRIOR.contains(grid).shape == PRIOR.density(grid).shape == (2, 2)
 
 
 def test_true_kinetics_values():
@@ -272,11 +279,22 @@ def test_generate_dataset_is_seed_deterministic():
     assert not np.array_equal(a.states, c.states)
 
 
-def test_generate_dataset_trajectories_use_independent_streams():
+def test_generate_dataset_trajectories_use_independent_streams(monkeypatch):
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    simulate = ErythroblastModel.simulate_paths
+    calls = []
+
+    def counted(self, thetas, *args):
+        calls.append(len(thetas))
+        return simulate(self, thetas, *args)
+
+    monkeypatch.setattr(ErythroblastModel, "simulate_paths", counted)
     data = generate_dataset(theta, (3.0, 0.0), m=2, L=3, horizon=10, dt=3.0, rng=21)
+    assert calls == [6]  # one simulator call steps every trajectory
+    assert data.states.flags.c_contiguous
+    monkeypatch.undo()
     model = ErythroblastModel()
-    streams = rng_mod.normalize_rng(21).spawn(6)
+    streams = np.random.default_rng(21).spawn(6)
     # Realize the same streams in reverse order; results must not change.
     redone = np.empty_like(data.states)
     for i in reversed(range(6)):

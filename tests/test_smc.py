@@ -190,8 +190,40 @@ def test_perturb_respects_prior_support():
     rngs = [np.random.default_rng(i) for i in range(20)]
     moved, rejections = perturb(np.full((20, 1), 0.5), kernel, prior, rngs)
     assert moved.shape == (20, 1)
-    assert all(prior.contains(candidate) for candidate in moved)
+    assert ((moved >= prior.lows) & (moved <= prior.highs)).all()
     assert rejections > 0
+
+
+class _FixedMovesKernel:
+    """Kernel stub whose one block of draws is given: (k, block, d)."""
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def sample(self, rngs, block):
+        assert len(rngs) == len(self.moves) and block == self.moves.shape[1]
+        return self.moves
+
+
+def test_perturb_keeps_moves_on_the_bounds_and_redraws_one_ulp_outside():
+    # Bounds are inclusive: a move landing exactly on a low or a high bound
+    # is kept, one ulp outside either is redrawn, as Prior.contains says.
+    prior = Prior(names=("a", "b"), lows=np.ones(2), highs=np.full(2, 2.0))
+    up, down = np.nextafter(2.0, 3.0), np.nextafter(1.0, 0.0)
+    stars = np.full((4, 2), 1.5)
+    targets = np.full((4, smc_mod._PERTURB_BLOCK, 2), 1.5)
+    targets[0, :2] = [[up, 1.5], [2.0, 1.5]]
+    targets[1, :3] = [[down, 1.5], [1.5, up], [1.0, 1.0]]
+    targets[2, :1] = [[2.0, 2.0]]
+    targets[3, :2] = [[1.5, down], [1.0, 2.0]]
+    moves = targets - stars[:, None, :]
+    np.testing.assert_array_equal(stars[:, None, :] + moves, targets)  # exact arithmetic
+    kept = [1, 2, 0, 1]
+    inside = prior.contains(targets)
+    assert inside.argmax(axis=1).tolist() == kept
+    moved, rejections = perturb(stars, _FixedMovesKernel(moves), prior, [None] * 4)
+    np.testing.assert_array_equal(moved, targets[np.arange(4), kept])
+    assert rejections == sum(kept)
 
 
 def test_perturb_exhaustion_raises():
@@ -213,7 +245,7 @@ def _sequential_proposals(population, kernel, prior, rngs):
                 candidate = star + np.zeros(kernel.dim)
             else:
                 candidate = star + kernel._chol @ rng.standard_normal(kernel.dim)
-            if prior.density(candidate) > 0.0:
+            if ((candidate >= prior.lows) & (candidate <= prior.highs)).all():
                 thetas.append(candidate)
                 rejections.append(tries)
                 break
@@ -332,7 +364,7 @@ def test_compute_weight_degenerate_and_underflow():
 
 def _one_weight(theta, previous, kernel, prior, accepted):
     """The importance weight of one refill, computed on its own."""
-    numerator = prior.density(theta) if accepted else 0.0
+    numerator = prior.density(theta[None])[0] if accepted else 0.0
     if numerator == 0.0:
         return 0.0
     diff = previous.thetas - theta
@@ -551,8 +583,8 @@ def _one_slot_scores(objective, observed, thetas, rngs):
         if isinstance(objective, NaiveObjective):
             scores.append(naive_distance(observed, simulated, terms))
         else:
-            eta = summarize(simulated)
-            scores.append([auxiliary_distance(objective.observed_summary, eta, objective.weight)])
+            eta = summarize(simulated)[None]
+            scores.append(auxiliary_distance(objective.observed_summary, eta, objective.weight))
     return np.array(scores)
 
 
