@@ -1,9 +1,11 @@
 """Declarative experiment configuration.
 
-Configs are YAML mappings with five blocks (model, prior, engine,
+Configs are YAML mappings with four blocks (model, prior, engine,
 experiment) plus a seed and an output directory. A config may start from a
-named preset and override any subset of keys; unknown keys are rejected so
-typos fail loudly. ``ExperimentConfig`` is the validated, typed result.
+named preset and override any subset of keys. The built-in defaults,
+``_BASE``, are the schema: unknown keys are rejected so typos fail loudly,
+and each value must have its default's kind. ``ExperimentConfig`` is the
+validated, typed result.
 """
 
 from __future__ import annotations
@@ -84,12 +86,11 @@ PRESETS = {
 }
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _merge(base: dict, override: dict) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
-        where = f"{path}.{key}" if path else str(key)
         if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value, where)
+            out[key] = _merge(out[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -105,24 +106,29 @@ def _is_number(value) -> bool:
         return False
 
 
-def _expect(mapping: dict, key: str, kind, path: str):
-    where = f"{path}.{key}" if path else key
-    if key not in mapping:
-        raise ConfigError(where, "missing")
-    value = mapping[key]
-    if kind is float:
-        if not _is_number(value):
-            raise ConfigError(where, f"expected a finite number, got {value!r}")
-        return float(value)
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ConfigError(where, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+def _check_kinds(mapping: dict, schema: dict, path: str) -> None:
+    """Hold ``mapping`` to the keys of ``schema`` and the kinds of its defaults.
 
-
-def _reject_unknown(mapping: dict, allowed, path: str):
+    A key ``schema`` lacks is unknown and one it has is required. A float
+    default takes any finite number; any other default takes its own type
+    and never a bool. Dict defaults are checked block by block.
+    """
     for key in mapping:
-        if key not in allowed:
+        if key not in schema:
             raise ConfigError(f"{path}.{key}" if path else str(key), "unknown key")
+    for key, default in schema.items():
+        where = f"{path}.{key}" if path else key
+        if key not in mapping:
+            raise ConfigError(where, "missing")
+        value = mapping[key]
+        if isinstance(default, float):
+            if not _is_number(value):
+                raise ConfigError(where, f"expected a finite number, got {value!r}")
+        elif not isinstance(value, type(default)) or isinstance(value, bool):
+            kind = type(default).__name__
+            raise ConfigError(where, f"expected {kind}, got {type(value).__name__}")
+        if isinstance(default, dict):
+            _check_kinds(value, default, where)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +173,7 @@ def build_config(overrides: dict | None = None, preset: str = "desk") -> Experim
     if preset not in PRESETS:
         raise ConfigError("preset", f"unknown preset {preset!r}; have {sorted(PRESETS)}")
     merged = _merge(_BASE, PRESETS[preset])
-    if overrides:
+    if overrides is not None:
         if not isinstance(overrides, dict):
             raise ConfigError("", "config root must be a mapping")
         merged = _merge(merged, overrides)
@@ -175,7 +181,7 @@ def build_config(overrides: dict | None = None, preset: str = "desk") -> Experim
 
 
 def load_config(path: str | Path | None, preset: str = "desk") -> ExperimentConfig:
-    """Read a YAML config file (optional) on top of a preset."""
+    """Read a YAML config file (optional) on top of a preset; an empty file is no override."""
     overrides = None
     if path is not None:
         # Imported here: only a config file needs the YAML parser.
@@ -185,122 +191,79 @@ def load_config(path: str | Path | None, preset: str = "desk") -> ExperimentConf
             overrides = yaml.safe_load(Path(path).read_text())
         except yaml.YAMLError as exc:
             raise ConfigError(str(path), f"not valid YAML: {exc}") from exc
-        if overrides is None:
-            overrides = {}
     return build_config(overrides, preset=preset)
 
 
 def _validate(cfg: dict) -> ExperimentConfig:
-    _reject_unknown(cfg, {"seed", "output_dir", "model", "prior", "engine", "experiment"}, "")
-    seed = _expect(cfg, "seed", int, "")
-    if seed < 0:
+    """Check keys and kinds against ``_BASE``, then the ranges, and type the result."""
+    _check_kinds(cfg, _BASE, "")
+    model, engine, experiment = cfg["model"], cfg["engine"], cfg["experiment"]
+    if cfg["seed"] < 0:
         raise ConfigError("seed", "must be non-negative")
-    output_dir = _expect(cfg, "output_dir", str, "")
-
-    model = _expect(cfg, "model", dict, "")
-    _reject_unknown(model, {"true_values", "init", "dt", "horizon", "batches"}, "model")
-    true_block = _expect(model, "true_values", dict, "model")
-    _reject_unknown(true_block, PARAM_NAMES, "model.true_values")
-    true_values = {n: _expect(true_block, n, float, "model.true_values") for n in PARAM_NAMES}
-    init = _expect(model, "init", list, "model")
+    init = model["init"]
     if len(init) != 2 or not all(_is_number(v) for v in init):
         raise ConfigError("model.init", "expected two numbers (density, inhibitor)")
-    dt = _expect(model, "dt", float, "model")
-    if dt <= 0:
+    if model["dt"] <= 0:
         raise ConfigError("model.dt", "must be positive")
-    horizon = _expect(model, "horizon", int, "model")
-    if horizon < 1:
-        raise ConfigError("model.horizon", "must be at least 1")
-    batches = _expect(model, "batches", int, "model")
-    if batches < 1:
-        raise ConfigError("model.batches", "must be at least 1")
+    for where in (
+        "model.horizon",
+        "model.batches",
+        "engine.sim_replicates",
+        "experiment.macro_replications",
+        "experiment.predictive_samples",
+    ):
+        block, key = where.split(".")
+        if cfg[block][key] < 1:
+            raise ConfigError(where, "must be at least 1")
 
-    prior_block = _expect(cfg, "prior", dict, "")
-    _reject_unknown(prior_block, PARAM_NAMES, "prior")
-    lows, highs = [], []
-    for name in PARAM_NAMES:
-        bounds = _expect(prior_block, name, list, "prior")
+    for name, bounds in cfg["prior"].items():
         if len(bounds) != 2 or not all(_is_number(v) for v in bounds):
             raise ConfigError(f"prior.{name}", "expected [low, high]")
         if not bounds[0] < bounds[1]:
             raise ConfigError(f"prior.{name}", "low must be below high")
-        lows.append(float(bounds[0]))
-        highs.append(float(bounds[1]))
-    prior = Prior(names=PARAM_NAMES, lows=np.array(lows), highs=np.array(highs))
+    box = np.array([cfg["prior"][name] for name in PARAM_NAMES], dtype=float)
+    prior = Prior(names=PARAM_NAMES, lows=box[:, 0], highs=box[:, 1])
 
-    engine = _expect(cfg, "engine", dict, "")
-    _reject_unknown(
-        engine,
-        {
-            "n_particles",
-            "alpha",
-            "sim_replicates",
-            "p_acc_min",
-            "distance",
-            "max_generations",
-        },
-        "engine",
-    )
-    n_particles = _expect(engine, "n_particles", int, "engine")
-    alpha = _expect(engine, "alpha", float, "engine")
-    sim_replicates = _expect(engine, "sim_replicates", int, "engine")
-    p_acc_min = _expect(engine, "p_acc_min", float, "engine")
-    distance = _expect(engine, "distance", str, "engine")
-    max_generations = _expect(engine, "max_generations", int, "engine")
-    if sim_replicates < 1:
-        raise ConfigError("engine.sim_replicates", "must be at least 1")
-    if distance not in OBJECTIVES:
+    if engine["distance"] not in OBJECTIVES:
         raise ConfigError("engine.distance", f"expected {' or '.join(map(repr, OBJECTIVES))}")
     try:
         settings = SmcSettings(
-            n_particles=n_particles,
-            alpha=alpha,
-            p_acc_min=p_acc_min,
-            max_generations=max_generations,
+            n_particles=engine["n_particles"],
+            alpha=float(engine["alpha"]),
+            p_acc_min=float(engine["p_acc_min"]),
+            max_generations=engine["max_generations"],
         )
     except ValueError as exc:
         raise ConfigError("engine", str(exc)) from exc
 
-    experiment = _expect(cfg, "experiment", dict, "")
-    _reject_unknown(
-        experiment,
-        {"noise_levels", "batch_sizes", "macro_replications", "predictive_samples", "target_t"},
-        "experiment",
-    )
-    noise_levels = _expect(experiment, "noise_levels", list, "experiment")
+    noise_levels = experiment["noise_levels"]
     if not noise_levels or not all(_is_number(v) and v >= 0 for v in noise_levels):
         raise ConfigError("experiment.noise_levels", "expected non-negative numbers")
-    batch_sizes = _expect(experiment, "batch_sizes", list, "experiment")
+    batch_sizes = experiment["batch_sizes"]
     # The auxiliary information weight needs a non-zero residual variance,
     # which two trajectories never leave.
     if not batch_sizes or not all(isinstance(v, int) and v >= 3 for v in batch_sizes):
         raise ConfigError("experiment.batch_sizes", "expected integers of at least 3")
-    macro_replications = _expect(experiment, "macro_replications", int, "experiment")
-    if macro_replications < 1:
-        raise ConfigError("experiment.macro_replications", "must be at least 1")
-    predictive_samples = _expect(experiment, "predictive_samples", int, "experiment")
-    if predictive_samples < 1:
-        raise ConfigError("experiment.predictive_samples", "must be at least 1")
-    target_t = _expect(experiment, "target_t", int, "experiment")
-    if not 1 <= target_t <= horizon + 1:
+    horizon = model["horizon"]
+    if not 1 <= experiment["target_t"] <= horizon + 1:
         raise ConfigError("experiment.target_t", f"must lie in [1, {horizon + 1}]")
 
     return ExperimentConfig(
-        seed=seed,
-        output_dir=output_dir,
-        true_values=true_values,
+        seed=cfg["seed"],
+        output_dir=cfg["output_dir"],
+        true_values={name: float(model["true_values"][name]) for name in PARAM_NAMES},
         init=(float(init[0]), float(init[1])),
-        dt=dt,
+        dt=float(model["dt"]),
         horizon=horizon,
-        batches=batches,
+        batches=model["batches"],
         prior=prior,
         engine=settings,
-        sim_replicates=sim_replicates,
-        distance=distance,
+        sim_replicates=engine["sim_replicates"],
+        distance=engine["distance"],
         noise_levels=tuple(float(v) for v in noise_levels),
         batch_sizes=tuple(int(v) for v in batch_sizes),
-        macro_replications=macro_replications,
-        predictive_samples=predictive_samples,
-        target_t=target_t,
+        macro_replications=experiment["macro_replications"],
+        predictive_samples=experiment["predictive_samples"],
+        target_t=experiment["target_t"],
         raw=cfg,
     )

@@ -154,7 +154,7 @@ class PerturbationKernel:
 
     def densities(self, thetas: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """(k, n) densities of the points ``thetas`` (k, d) around the ``centers`` (n, d)."""
-        diff = np.atleast_2d(centers) - np.asarray(thetas)[..., None, :]
+        diff = centers - thetas[:, None, :]
         if self._chol is None:
             at_center = (diff == 0).all(axis=-1)
             return np.where(at_center, np.inf, 0.0)
@@ -401,12 +401,11 @@ def _evaluate_in_worker(seed, generation, slots, thetas):
 
 
 def _evaluate(objective, seed, generation, slots, thetas, executor, workers):
-    """(len(slots), L) distances, evaluated here or split over the pool.
+    """(len(slots), L) distances of the slot array ``slots``, evaluated here or split over the pool.
 
     The pool's workers hold ``objective`` from their start, so each submit
     sends only its chunk of slots and parameter rows.
     """
-    slots = np.asarray(list(slots))
     if executor is None or len(slots) < 2 * workers:
         return _evaluate_chunk(objective, seed, generation, slots, thetas)
     pieces = np.array_split(np.arange(len(slots)), workers)

@@ -152,6 +152,95 @@ def test_prior_must_cover_all_parameters():
     assert err2.value.path == "prior.extra"
 
 
+#: Every path of the built-in config with the kind its value must have,
+#: written out here rather than read from the defaults, so that a default
+#: rewritten with another kind (``dt: 3`` for ``dt: 3.0``) fails a test.
+CONFIG_KINDS = {
+    "seed": int,
+    "output_dir": str,
+    "model": dict,
+    "model.true_values": dict,
+    **{f"model.true_values.{name}": float for name in ("r_g", "k_s", "k_c", "r_d", "v_rho", "v_I")},
+    "model.init": list,
+    "model.dt": float,
+    "model.horizon": int,
+    "model.batches": int,
+    "prior": dict,
+    **{f"prior.{name}": list for name in ("r_g", "k_s", "k_c", "r_d", "v_rho", "v_I")},
+    "engine": dict,
+    "engine.n_particles": int,
+    "engine.alpha": float,
+    "engine.sim_replicates": int,
+    "engine.p_acc_min": float,
+    "engine.distance": str,
+    "engine.max_generations": int,
+    "experiment": dict,
+    "experiment.noise_levels": list,
+    "experiment.batch_sizes": list,
+    "experiment.macro_replications": int,
+    "experiment.predictive_samples": int,
+    "experiment.target_t": int,
+}
+
+#: Values of the wrong kind for each kind; a bool is never an int here.
+WRONG_KIND = {
+    float: ["0.5", True, None, [0.5]],
+    int: [2.0, True, "2", None],
+    str: [1, True, None, ["out"]],
+    list: ["0, 1", 1, {"low": 0}, None],
+    dict: [[], 1, "block", None],
+}
+
+
+def _config_paths(mapping, prefix=""):
+    for key, value in mapping.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _config_paths(value, f"{prefix}{key}.")
+
+
+def _nested(path, value):
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+def test_the_kind_table_holds_every_path_of_the_defaults():
+    assert list(_config_paths(build_config().raw)) == list(CONFIG_KINDS)
+
+
+@pytest.mark.parametrize(("path", "kind"), CONFIG_KINDS.items())
+def test_each_value_must_have_its_defaults_kind_and_be_present(path, kind):
+    import copy
+
+    from hybridabc.config import _validate
+
+    expected = "expected a finite number" if kind is float else f"expected {kind.__name__}, got"
+    for value in WRONG_KIND[kind]:
+        with pytest.raises(ConfigError, match=expected) as err:
+            build_config(_nested(path, value))
+        assert err.value.path == path, value
+    raw = copy.deepcopy(build_config().raw)
+    *blocks, leaf = path.split(".")
+    parent = raw
+    for key in blocks:
+        parent = parent[key]
+    del parent[leaf]
+    with pytest.raises(ConfigError, match=": missing$") as err:
+        _validate(raw)
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize(
+    "block", [""] + [path for path, kind in CONFIG_KINDS.items() if kind is dict]
+)
+def test_every_block_refuses_an_unknown_key(block):
+    where = f"{block}.typo" if block else "typo"
+    with pytest.raises(ConfigError, match=": unknown key$") as err:
+        build_config(_nested(where, 1))
+    assert err.value.path == where
+
+
 def test_load_config_reads_yaml(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("engine:\n  n_particles: 32\n")
@@ -160,10 +249,12 @@ def test_load_config_reads_yaml(tmp_path):
     empty = tmp_path / "empty.yaml"
     empty.write_text("")
     assert load_config(empty).engine.n_particles == 200
-    bad = tmp_path / "listroot.yaml"
-    bad.write_text("- 1\n- 2\n")
-    with pytest.raises(ConfigError, match="^config root must be a mapping$"):
-        load_config(bad)
+    # Only an empty file stands for no overrides; falsy roots are refused too.
+    for root in ("- 1\n- 2\n", "[]\n", "0\n", "false\n", '""\n'):
+        bad = tmp_path / "badroot.yaml"
+        bad.write_text(root)
+        with pytest.raises(ConfigError, match="^config root must be a mapping$"):
+            load_config(bad)
     broken = tmp_path / "broken.yaml"
     broken.write_text("engine: [1, 2\n")
     with pytest.raises(ConfigError, match="not valid YAML") as err:

@@ -155,12 +155,14 @@ def test_adapt_kernel_doubles_weighted_covariance():
 
 def test_perturbation_kernel_density_closed_form():
     kernel = PerturbationKernel(covariance=np.array([[4.0]]))
-    got = kernel.densities(np.array([2.0]), np.array([[0.0]]))
-    assert got[0] == pytest.approx(_norm_pdf(2.0, 0.0, 4.0), rel=1e-12)
+    got = kernel.densities(np.array([[2.0]]), np.array([[0.0]]))
+    assert got.shape == (1, 1)
+    assert got[0, 0] == pytest.approx(_norm_pdf(2.0, 0.0, 4.0), rel=1e-12)
     # Mixture over two centers, by hand.
-    both = kernel.densities(np.array([1.0]), np.array([[0.0], [3.0]]))
-    assert both[0] == pytest.approx(_norm_pdf(1.0, 0.0, 4.0), rel=1e-12)
-    assert both[1] == pytest.approx(_norm_pdf(1.0, 3.0, 4.0), rel=1e-12)
+    both = kernel.densities(np.array([[1.0]]), np.array([[0.0], [3.0]]))
+    assert both.shape == (1, 2)
+    assert both[0, 0] == pytest.approx(_norm_pdf(1.0, 0.0, 4.0), rel=1e-12)
+    assert both[0, 1] == pytest.approx(_norm_pdf(1.0, 3.0, 4.0), rel=1e-12)
 
 
 def test_perturbation_kernel_degenerate():
@@ -170,9 +172,10 @@ def test_perturbation_kernel_degenerate():
     moves = kernel.sample([rng], 8)
     assert moves.shape == (1, 8, 1) and not moves.any()
     assert rng.bit_generator.state == state  # a singular kernel draws nothing
-    dens = kernel.densities(np.array([0.5]), np.array([[0.5], [0.7]]))
-    assert dens[0] == np.inf
-    assert dens[1] == 0.0
+    dens = kernel.densities(np.array([[0.5]]), np.array([[0.5], [0.7]]))
+    assert dens.shape == (1, 2)
+    assert dens[0, 0] == np.inf
+    assert dens[0, 1] == 0.0
 
 
 def test_perturbation_kernel_validation():
