@@ -3,8 +3,11 @@
 Usage, from the repository root::
 
     python3 benchmarks/bench_pipeline.py --base ../parent-checkout \\
-        [--pairs 10] [--seed 11 --seed 23] [--seconds 10] \\
+        [--pairs 10] [--seed 11 --seed 23] [--seconds 30] \\
         [--workload cell-smoke-w2 ...] [--out benchmarks/BENCH_11.json]
+
+``--seconds`` defaults to ``run_seconds`` of ``BENCHMARK.json``, the run
+length the benchmark itself uses.
 
 For every seed and workload it runs ``pipebench/run.py`` unchanged, once in
 the ``--base`` checkout and once in this one per pair, alternating which
@@ -36,6 +39,7 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+RUN_SECONDS = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
 WORKLOADS = ("infer-aux-desk", "infer-naive-desk", "cell-smoke-w2")
 END_TO_END = ("run_s", "setup_s", "peak_rss_mb")
 
@@ -127,7 +131,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", type=Path, required=True, help="checkout to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, action="append")
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=RUN_SECONDS)
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--out", type=Path, default=HERE / "benchmarks" / "BENCH.json")
     args = parser.parse_args(argv)

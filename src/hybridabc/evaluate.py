@@ -10,6 +10,8 @@ both the observed and the hidden coordinate.
 ``run_cell`` repeats the whole pipeline over independent macro-replications
 for both distance methods under common random numbers and aggregates K-S
 values and wall-time ratios with normal-approximation confidence intervals.
+With more than one worker, all of a cell's engine runs share one process
+pool, replaced by a fresh one after a failed replication.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .rng import (
     STREAM_TRUE_PREDICTIVE,
     substream,
 )
-from .smc import OBJECTIVES, PosteriorApproximation, SmcSettings, run_inference
+from .smc import OBJECTIVES, PosteriorApproximation, SmcSettings, open_pool, run_inference
 
 #: Columns of the grid tables in file order: the keys of each
 #: ``CellResult.ks_summary`` row and of ``CellResult.ratio_summary``.
@@ -166,11 +168,13 @@ def run_replication(
     rep_seed: int,
     workers: int = 1,
     progress=None,
+    pool=None,
 ) -> tuple[dict, dict]:
     """One macro-replication: both methods on one observed dataset.
 
     Both methods see the same observed data and draw their simulation noise
     from the same seed-derived sub-streams, so their comparison is paired.
+    ``pool`` is an open pool from ``open_pool(workers)`` for both engine runs.
     Returns (records keyed by method, predictive samples keyed by source).
     """
     observed = generate_dataset(
@@ -204,6 +208,7 @@ def run_replication(
             seed=rep_seed,
             workers=workers,
             progress=method_progress,
+            pool=pool,
         )
         runtime = time.perf_counter() - t0
         post_pred = sample_posterior_predictive(
@@ -245,54 +250,67 @@ def run_cell(
     failures are recorded and skipped unless they exceed a fifth of the
     requested count, in which case the cell fails. The predictive draws kept
     are those of the first replication that completes.
+
+    With ``workers > 1`` the replications share one process pool, shut down
+    when the cell ends; a failed replication's pool is replaced by a fresh
+    one, so a broken worker cannot fail the replications after it.
     """
     theta_true = np.concatenate([np.asarray(kinetics, dtype=float), [noise, noise]])
     result = CellResult(noise=noise, batches=batches)
-    for r in range(macro_replications):
-        rep_seed = seed + r
-        try:
-            records, predictive = run_replication(
-                model,
-                prior,
-                theta_true,
-                batches,
-                settings,
-                sim_replicates,
-                target_t,
-                n_predictive,
-                rep_seed,
-                workers=workers,
-                progress=progress,
-            )
-        except Exception as exc:  # noqa: BLE001 - isolate replication failures
-            result.failures.append((r, repr(exc)))
-            continue
-        ratio = records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
-        for method in OBJECTIVES:
-            rec = records[method]
-            posterior = rec["posterior"]
-            result.records.append(
-                ReplicationRecord(
-                    replication=r,
-                    seed=rep_seed,
-                    method=method,
-                    ks_rho=rec["ks_rho"],
-                    ks_inh=rec["ks_inh"],
-                    runtime_s=rec["runtime_s"],
-                    ratio=ratio,
-                    generations=posterior.generations,
-                    simulator_calls=posterior.simulator_calls,
-                    evaluations=posterior.n_evaluations,
-                    stopped_by=posterior.stopped_by,
-                    ess=posterior.history[-1].ess,
-                    posterior_mean=tuple(posterior.weighted_mean().tolist()),
-                    posterior_std=tuple(posterior.weighted_std().tolist()),
+    pool = open_pool(workers) if workers > 1 else None
+    try:
+        for r in range(macro_replications):
+            rep_seed = seed + r
+            try:
+                records, predictive = run_replication(
+                    model,
+                    prior,
+                    theta_true,
+                    batches,
+                    settings,
+                    sim_replicates,
+                    target_t,
+                    n_predictive,
+                    rep_seed,
+                    workers=workers,
+                    progress=progress,
+                    pool=pool,
                 )
-            )
-        if not result.predictive:
-            result.predictive = predictive
-        if on_replication is not None:
-            on_replication(result, r)
+            except Exception as exc:  # noqa: BLE001 - isolate replication failures
+                result.failures.append((r, repr(exc)))
+                if pool is not None:
+                    pool.shutdown()
+                    pool = open_pool(workers)
+                continue
+            ratio = records["naive"]["runtime_s"] / records["auxiliary"]["runtime_s"]
+            for method in OBJECTIVES:
+                rec = records[method]
+                posterior = rec["posterior"]
+                result.records.append(
+                    ReplicationRecord(
+                        replication=r,
+                        seed=rep_seed,
+                        method=method,
+                        ks_rho=rec["ks_rho"],
+                        ks_inh=rec["ks_inh"],
+                        runtime_s=rec["runtime_s"],
+                        ratio=ratio,
+                        generations=posterior.generations,
+                        simulator_calls=posterior.simulator_calls,
+                        evaluations=posterior.n_evaluations,
+                        stopped_by=posterior.stopped_by,
+                        ess=posterior.history[-1].ess,
+                        posterior_mean=tuple(posterior.weighted_mean().tolist()),
+                        posterior_std=tuple(posterior.weighted_std().tolist()),
+                    )
+                )
+            if not result.predictive:
+                result.predictive = predictive
+            if on_replication is not None:
+                on_replication(result, r)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     if result.failures:
         if len(result.failures) > 0.2 * macro_replications:
             raise RuntimeError(

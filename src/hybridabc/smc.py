@@ -26,6 +26,7 @@ single simulated dataset while each proposal uses all L of them.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -107,6 +108,11 @@ class Population:
     def ess(self) -> float:
         """Kish effective sample size of the weights, (sum w)^2 / sum w^2."""
         return float(self.weights.sum() ** 2 / (self.weights @ self.weights))
+
+    @property
+    def n_distinct(self) -> int:
+        """Number of distinct parameter rows, compared bit for bit."""
+        return len({row.tobytes() for row in self.thetas})
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +212,8 @@ class GenerationRecord:
     ``prior_rejections`` counts the kernel moves of the generation's
     proposals that landed outside the prior; generation 1 draws from the
     prior and counts 0. ``ess`` is the Kish effective sample size of the
-    retained particles' weights.
+    retained particles' weights, and ``n_distinct`` the number of distinct
+    parameter rows among the retained particles.
 
     The ``_s`` fields are wall times in seconds of the calling process.
     ``propose_s`` covers the kernel adaptation and the proposals (for
@@ -220,6 +227,7 @@ class GenerationRecord:
     p_acc: float
     prior_rejections: int
     n_retained: int
+    n_distinct: int
     ess: float
     n_evaluations: int
     simulator_calls: int
@@ -376,41 +384,51 @@ def replicate_fractions(replicates: np.ndarray, tolerance: float) -> np.ndarray:
 def _evaluate_chunk(objective, seed, generation, slots, thetas):
     """Replicate distances of each slot, stacked into a (len(slots), L) array.
 
-    The package's objectives score the whole chunk in one call; any other
+    The package's objectives score the whole chunk in one call, its slots'
+    simulation streams derived in one batched ``substream`` call; any other
     callable is called once per slot.
     """
-    rngs = [substream(seed, STREAM_SIMULATION, generation, slot) for slot in slots]
     if isinstance(objective, _PathObjective):
-        return objective(thetas, rngs)
+        return objective(thetas, substream(seed, STREAM_SIMULATION, generation, slots))
+    rngs = [substream(seed, STREAM_SIMULATION, generation, slot) for slot in slots]
     return np.stack([np.atleast_1d(objective(theta, rng)) for theta, rng in zip(thetas, rngs)])
 
 
-#: The objective of the run a pool worker serves, installed once when the
-#: worker starts; only the pool's initializer sets it.
+def open_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` workers, which ``run_abc_smc`` runs can share."""
+    return ProcessPoolExecutor(max_workers=workers)
+
+
+#: The pickled objective a pool worker last received and the objective
+#: unpickled from it; only ``_evaluate_in_worker`` sets them.
+_worker_payload = None
 _worker_objective = None
 
 
-def _install_objective(objective) -> None:
-    global _worker_objective
-    _worker_objective = objective
+def _evaluate_in_worker(payload, seed, generation, slots, thetas):
+    """``_evaluate_chunk`` with the objective pickled in ``payload``.
 
-
-def _evaluate_in_worker(seed, generation, slots, thetas):
-    """``_evaluate_chunk`` with this worker's installed objective."""
+    The worker unpickles a payload only when it differs from the last one it
+    saw, so it keeps one objective, and its workspace, for a whole run.
+    """
+    global _worker_payload, _worker_objective
+    if payload != _worker_payload:
+        _worker_objective = pickle.loads(payload)
+        _worker_payload = payload
     return _evaluate_chunk(_worker_objective, seed, generation, slots, thetas)
 
 
-def _evaluate(objective, seed, generation, slots, thetas, executor, workers):
+def _evaluate(objective, payload, seed, generation, slots, thetas, executor, workers):
     """(len(slots), L) distances of the slot array ``slots``, evaluated here or split over the pool.
 
-    The pool's workers hold ``objective`` from their start, so each submit
-    sends only its chunk of slots and parameter rows.
+    Each submit to the pool carries ``payload``, the run's pickled objective,
+    with its chunk of slots and parameter rows.
     """
     if executor is None or len(slots) < 2 * workers:
         return _evaluate_chunk(objective, seed, generation, slots, thetas)
     pieces = np.array_split(np.arange(len(slots)), workers)
     futures = [
-        executor.submit(_evaluate_in_worker, seed, generation, slots[p], thetas[p])
+        executor.submit(_evaluate_in_worker, payload, seed, generation, slots[p], thetas[p])
         for p in pieces
         if len(p)
     ]
@@ -424,6 +442,7 @@ def run_abc_smc(
     seed: int,
     workers: int = 1,
     progress=None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> PosteriorApproximation:
     """Run the full adaptive ABC-SMC loop.
 
@@ -433,8 +452,10 @@ def run_abc_smc(
         Sampling distribution and density for parameter vectors.
     objective : callable
         Distance between data simulated under a parameter vector and the
-        observed data, the same L replicates for every particle. Each
-        pool worker is given the objective once, when it starts. A
+        observed data, the same L replicates for every particle. The run
+        pickles the objective once, and every chunk it sends to a pool
+        worker carries those bytes; a worker unpickles them only when they
+        differ from the last it saw, so it keeps one objective per run. A
         generation's slots go to the workers in chunks, and each chunk
         builds every slot's simulation stream, ``substream(seed,
         STREAM_SIMULATION, generation, slot)``. The package's objectives
@@ -450,6 +471,10 @@ def run_abc_smc(
     workers : int
         Process count for distance evaluation. Results do not depend on it.
     progress : callable(GenerationRecord), optional
+    pool : ProcessPoolExecutor, optional
+        An open pool from ``open_pool(workers)`` to evaluate on when
+        ``workers > 1``; the run neither starts nor shuts it down. Without
+        one, such a run opens its own pool and shuts it down at the end.
 
     Returns
     -------
@@ -465,11 +490,10 @@ def run_abc_smc(
     n_keep = math.floor(settings.alpha * N)
     n_new = N - n_keep
     calls_per_eval = int(getattr(objective, "calls_per_evaluation", 1))
-    executor = None
+    executor, payload = None, None
     if workers > 1:
-        executor = ProcessPoolExecutor(
-            max_workers=workers, initializer=_install_objective, initargs=(objective,)
-        )
+        executor = pool if pool is not None else open_pool(workers)
+        payload = pickle.dumps(objective)
     history = []
 
     def retain(thetas, weights, replicates, generation, p_acc, prior_rejections, clock):
@@ -490,6 +514,7 @@ def run_abc_smc(
             p_acc=p_acc,
             prior_rejections=prior_rejections,
             n_retained=len(population),
+            n_distinct=population.n_distinct,
             ess=population.ess,
             n_evaluations=n_evaluations,
             simulator_calls=n_evaluations * calls_per_eval,
@@ -508,7 +533,7 @@ def run_abc_smc(
         slots = np.arange(N)
         thetas = np.array([prior.sample(rng) for rng in substream(seed, STREAM_PROPOSAL, 0, slots)])
         clock.append(time.perf_counter())
-        replicates = _evaluate(objective, seed, 0, slots, thetas, executor, workers)
+        replicates = _evaluate(objective, payload, seed, 0, slots, thetas, executor, workers)
         clock.append(time.perf_counter())
         population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0, clock)
 
@@ -524,7 +549,9 @@ def run_abc_smc(
             rngs = substream(seed, STREAM_PROPOSAL, generation, slots)
             new_thetas, prior_rejections = _propose(population, kernel, prior, rngs)
             clock.append(time.perf_counter())
-            new_reps = _evaluate(objective, seed, generation, slots, new_thetas, executor, workers)
+            new_reps = _evaluate(
+                objective, payload, seed, generation, slots, new_thetas, executor, workers
+            )
             clock.append(time.perf_counter())
 
             accepted = new_reps.min(axis=1) <= population.tolerance
@@ -545,7 +572,7 @@ def run_abc_smc(
                 clock,
             )
     finally:
-        if executor is not None:
+        if executor is not None and executor is not pool:
             executor.shutdown()
 
     weights = population.weights * replicate_fractions(population.replicates, population.tolerance)
@@ -580,8 +607,8 @@ class _PathObjective:
     Each copy of the objective simulates in one block-sized workspace of its
     own, made on first use and reused from block to block; a short last
     block uses its start. Scratch buffers are left out of pickles. A pool
-    worker is given the objective once, when it starts, so it keeps one
-    workspace for the whole run.
+    worker unpickles a run's objective once, so it keeps one workspace for
+    the whole run.
     """
 
     def __init__(self, model, observed: Dataset, sim_replicates: int):
@@ -667,10 +694,16 @@ def run_inference(
     seed: int,
     workers: int = 1,
     progress=None,
+    pool: ProcessPoolExecutor | None = None,
 ) -> PosteriorApproximation:
-    """Infer the posterior for one observed dataset with one method."""
+    """Infer the posterior for one observed dataset with one method.
+
+    ``pool`` is passed on to ``run_abc_smc``.
+    """
     if method not in OBJECTIVES:
         expected = " or ".join(map(repr, OBJECTIVES))
         raise ValueError(f"unknown method {method!r}; expected {expected}")
     objective = OBJECTIVES[method](model, observed, sim_replicates)
-    return run_abc_smc(prior, objective, settings, seed, workers=workers, progress=progress)
+    return run_abc_smc(
+        prior, objective, settings, seed, workers=workers, progress=progress, pool=pool
+    )

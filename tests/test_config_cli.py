@@ -467,6 +467,7 @@ def test_progress_line_is_the_labels_then_the_rounded_record_fields(capsys):
         p_acc=0.25,
         prior_rejections=7,
         n_retained=12,
+        n_distinct=11,
         ess=9.87654321,
         n_evaluations=48,
         simulator_calls=288,

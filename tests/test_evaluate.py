@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import hybridabc.evaluate as evaluate
 from hybridabc import io
+from hybridabc import smc
 from helpers import brute_force_ks, reference_trajectory
 from hybridabc.config import build_config
 from hybridabc.evaluate import (
@@ -18,7 +20,7 @@ from hybridabc.evaluate import (
     sample_true_predictive,
 )
 from hybridabc.model import PARAM_NAMES, ErythroblastModel
-from hybridabc.smc import PosteriorApproximation, SmcSettings
+from hybridabc.smc import AuxiliaryObjective, PosteriorApproximation, SmcSettings
 
 QUICK = SmcSettings(n_particles=30, alpha=0.5, p_acc_min=0.4, max_generations=6)
 PRIOR = build_config().prior
@@ -336,6 +338,101 @@ def test_run_cell_fails_when_too_many_replications_fail(monkeypatch):
             n_predictive=20,
             seed=500,
         )
+
+
+def _counted_pools(monkeypatch):
+    """Every pool the engine opens from here on, and those shut down, in order."""
+    opened, closed = [], []
+
+    class CountedPool(smc.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            closed.append(self)
+
+    monkeypatch.setattr(smc, "ProcessPoolExecutor", CountedPool)
+    return opened, closed
+
+
+def _pools_given(monkeypatch):
+    """The pool each engine run of a cell is given, in call order."""
+    real = evaluate.run_inference
+    given = []
+
+    def recorded(*args, **kwargs):
+        given.append(kwargs.get("pool"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "run_inference", recorded)
+    return given
+
+
+def _smoke_cell(macro_replications, workers):
+    return run_cell(
+        model=ErythroblastModel(),
+        prior=PRIOR,
+        kinetics=np.array([0.057, 3.4, 2.6, 0.005]),
+        noise=0.2,
+        batches=3,
+        settings=QUICK,
+        sim_replicates=2,
+        macro_replications=macro_replications,
+        target_t=11,
+        n_predictive=50,
+        seed=900,
+        workers=workers,
+    )
+
+
+def _without_times(records):
+    return [dataclasses.replace(r, runtime_s=0.0, ratio=0.0) for r in records]
+
+
+def test_a_cell_runs_on_one_pool_and_matches_the_serial_cell(monkeypatch):
+    serial = _smoke_cell(2, workers=1)
+    opened, closed = _counted_pools(monkeypatch)
+    given = _pools_given(monkeypatch)
+    pooled = _smoke_cell(2, workers=2)
+    assert len(opened) == 1 and closed == opened
+    assert given == opened * 4
+    assert _without_times(pooled.records) == _without_times(serial.records)
+    assert sorted(pooled.predictive) == sorted(serial.predictive)
+    for source, draws in serial.predictive.items():
+        np.testing.assert_array_equal(pooled.predictive[source].view(np.int64), draws.view(np.int64))
+
+
+class _FailsInItsSecondRun(AuxiliaryObjective):
+    """The auxiliary objective, raising in every chunk of the second one built."""
+
+    built = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).built += 1
+        self.fails = type(self).built == 2
+
+    def __call__(self, thetas, rngs):
+        if self.fails:
+            raise RuntimeError("objective failed")
+        return super().__call__(thetas, rngs)
+
+
+def test_a_failed_replication_keeps_its_cause_and_the_next_gets_a_fresh_pool(monkeypatch):
+    monkeypatch.setattr(_FailsInItsSecondRun, "built", 0)
+    monkeypatch.setitem(smc.OBJECTIVES, "auxiliary", _FailsInItsSecondRun)
+    opened, closed = _counted_pools(monkeypatch)
+    given = _pools_given(monkeypatch)
+    with pytest.warns(UserWarning, match="skipped replications"):
+        cell = _smoke_cell(5, workers=2)
+    assert cell.failures == [(1, "RuntimeError('objective failed')")]
+    assert sorted({r.replication for r in cell.records}) == [0, 2, 3, 4]
+    # Replication 1 failed in its auxiliary run on the first pool; the
+    # replications after it run on a second one.
+    assert len(opened) == 2 and closed == opened
+    assert given == [opened[0]] * 3 + [opened[1]] * 6
 
 
 def test_cell_result_callback_sees_partial_state():

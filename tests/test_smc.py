@@ -460,8 +460,11 @@ def test_engine_histories_and_counters():
         assert record.simulator_calls == record.n_evaluations
     # Generation 1 draws from the prior; later ones count moves that left it.
     assert records[0].prior_rejections == 0
-    # Generation 1 keeps equal weights: its ESS is the retained count.
+    # Generation 1 keeps equal weights: its ESS is the retained count, and
+    # its prior draws are all distinct.
     assert records[0].ess == records[0].n_retained
+    assert records[0].n_distinct == records[0].n_retained
+    assert all(1 <= r.n_distinct <= r.n_retained for r in records)
     assert all(0.0 < r.ess <= r.n_retained for r in records)
     assert all(type(r.prior_rejections) is int and r.prior_rejections >= 0 for r in records)
     assert posterior.n_evaluations == records[-1].n_evaluations
@@ -670,26 +673,56 @@ def test_objective_raises_a_later_slots_simulation_error_as_that_slot_alone(meth
 
 @pytest.mark.parametrize("method", ["auxiliary", "naive"])
 def test_a_worker_keeps_its_objective_and_buffers_across_chunks(method, monkeypatch):
-    # A pool worker is given the objective once; every chunk it evaluates
-    # afterwards scores what _evaluate_chunk scores with a fresh copy, in
-    # the same workspace and copy buffers.
+    # Every chunk a pool worker gets carries the run's pickled objective. The
+    # worker unpickles it once and keeps that objective, with its workspace
+    # and copy buffers, for each chunk of the same payload; a different
+    # payload swaps in its own objective. Every chunk scores what
+    # _evaluate_chunk scores with a fresh objective.
+    monkeypatch.setattr(smc_mod, "_worker_payload", None)
     monkeypatch.setattr(smc_mod, "_worker_objective", None)
     model = ErythroblastModel()
     theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
     observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
-    build = lambda: OBJECTIVES[method](model, observed, sim_replicates=3)
-    installed = build()
-    smc_mod._install_objective(installed)
+    build = lambda replicates: OBJECTIVES[method](model, observed, sim_replicates=replicates)
     thetas = np.random.default_rng(9).uniform(PRIOR.lows, PRIOR.highs, (30, 6))
-    buffers = []
-    for slots in (np.arange(0, 25), np.arange(25, 30)):
-        chunk = smc_mod._evaluate_in_worker(4, 2, slots, thetas[slots])
-        expected = _evaluate_chunk(build(), 4, 2, slots, thetas[slots])
-        np.testing.assert_array_equal(chunk.view(np.int64), expected.view(np.int64))
-        copy = [installed._copy] if method == "naive" else []
-        buffers.append([installed._workspace] + copy)
-    assert smc_mod._worker_objective is installed
-    assert all(a is not None and a is b for a, b in zip(*buffers))
+
+    def buffers(objective):
+        return [objective._workspace] + ([objective._copy] if method == "naive" else [])
+
+    kept = []
+    for replicates in (3, 3, 2):
+        payload = pickle.dumps(build(replicates))
+        for slots in (np.arange(0, 25), np.arange(25, 30)):
+            chunk = smc_mod._evaluate_in_worker(payload, 4, 2, slots, thetas[slots])
+            expected = _evaluate_chunk(build(replicates), 4, 2, slots, thetas[slots])
+            np.testing.assert_array_equal(chunk.view(np.int64), expected.view(np.int64))
+            kept.append((smc_mod._worker_objective, buffers(smc_mod._worker_objective)))
+    (first, first_buffers), *rest = kept
+    assert all(b is not None for b in first_buffers) and first.n_paths == 60
+    # Equal bytes, even from another pickling, keep the objective and buffers.
+    for objective, held in rest[:3]:
+        assert objective is first and all(a is b for a, b in zip(held, first_buffers))
+    (second, second_buffers), (again, again_buffers) = rest[3:]
+    assert second is not first and second.n_paths == 40
+    assert again is second and all(a is b for a, b in zip(again_buffers, second_buffers))
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_batched_chunk_streams_match_one_slot_chunks(method):
+    # A chunk derives its slots' simulation streams in one batched call; each
+    # row scores what a chunk of its slot alone, given that slot's own
+    # substream, scores, also for slots that are not consecutive.
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = OBJECTIVES[method](model, observed, sim_replicates=3)
+    slots = np.array([3, 7, 8, 40])
+    thetas = np.random.default_rng(12).uniform(PRIOR.lows, PRIOR.highs, (4, 6))
+    chunk = _evaluate_chunk(objective, 5, 6, slots, thetas)
+    for row, (slot, theta_row) in enumerate(zip(slots, thetas)):
+        stream = rng_mod.substream(5, rng_mod.STREAM_SIMULATION, 6, slot)
+        alone = OBJECTIVES[method](model, observed, sim_replicates=3)(theta_row[None], [stream])
+        np.testing.assert_array_equal(chunk[row : row + 1].view(np.int64), alone.view(np.int64))
 
 
 @pytest.mark.parametrize("method", ["auxiliary", "naive"])
