@@ -16,14 +16,17 @@ is its own process in its own checkout, with ``PYTHONDONTWRITEBYTECODE=1``
 so that neither side's set-up gains from a bytecode cache the other lacks.
 
 The output holds, per seed and workload: each pair's ``run_s``,
-``setup_s`` and ``peak_rss_mb`` and whether every call matched its
-fingerprint; each side's median and quartiles of those metrics; the number
-of pairs in which this checkout's ``run_s`` was lower; whether every call
-on both sides gave the same result fingerprint (engine counts, final
-tolerances, posterior means and, for the cell, KS values), and that
-fingerprint; and each side's traced per-layer metrics and exact engine
-counts. ``src_lines`` is the line count of ``src/`` on
-each side, and ``dirty`` says whether a side has uncommitted changes.
+``setup_s`` and ``peak_rss_mb``, whether every call matched its
+fingerprint, and the pair's head/base ``run_s`` ratio; each side's median
+and quartiles of those metrics; the median and quartiles of the pairs'
+ratios, which a drift of the host over the comparison moves less than the
+spread of either side's runs; the number of pairs in which this
+checkout's ``run_s`` was lower; whether every call on both sides gave the
+same result fingerprint (engine counts, final tolerances, posterior means
+and, for the cell, KS values), and that fingerprint; and each side's
+traced per-layer metrics and exact engine counts. ``src_lines`` is the
+line count of ``src/`` on each side, and ``dirty`` says whether a side has
+uncommitted changes.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
             pair[side]["correct"] = record["correct"]
             pair[side]["failed"] = record["failed"]
             fingerprints[side].extend(call["fingerprint"] for call in record["calls"])
+        pair["run_s_ratio"] = pair["head"]["run_s"] / pair["base"]["run_s"]
         pairs.append(pair)
         print(
             f"{workload} seed {seed} pair {i + 1}: run_s {pair['base']['run_s']:.4f} -> "
@@ -103,6 +107,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
     return {
         "pairs": pairs,
         "summary": sides,
+        "run_s_ratio": spread([p["run_s_ratio"] for p in pairs]),
         "head_faster": sum(p["head"]["run_s"] < p["base"]["run_s"] for p in pairs),
         "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "head")),
         "same_results": all(f == first for f in fingerprints["base"] + fingerprints["head"]),
@@ -164,9 +169,11 @@ def main(argv=None) -> int:
     for seed, workloads in result["seeds"].items():
         for workload, entry in workloads.items():
             base_run, head_run = (entry["summary"][side]["run_s"] for side in ("base", "head"))
+            ratio = entry["run_s_ratio"]
             print(
                 f"seed {seed} {workload}: run_s {base_run['median']:.4f} "
                 f"[{base_run['q1']:.4f}-{base_run['q3']:.4f}] -> {head_run['median']:.4f}, "
+                f"head/base ratio {ratio['median']:.3f} [{ratio['q1']:.3f}-{ratio['q3']:.3f}], "
                 f"faster in {entry['head_faster']} of {len(entry['pairs'])}, "
                 f"all correct: {entry['all_correct']}, same results: {entry['same_results']}"
             )

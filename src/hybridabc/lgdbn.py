@@ -118,33 +118,14 @@ def joint_distribution(fit: AuxiliaryFit) -> tuple[np.ndarray, np.ndarray]:
     (I - B)^{-1} S (I - B)^{-T} where S is the diagonal of squared stds.
     """
     H, d_x, d_a = fit.psi_a.shape
-    dim = (H + 1) * d_x + H * d_a
-
-    x_off = np.empty(H + 1, dtype=int)
-    a_off = np.empty(H, dtype=int)
-    off = 0
-    for t in range(H):
-        x_off[t] = off
-        off += d_x
-        a_off[t] = off
-        off += d_a
-    x_off[H] = off
-
-    mean = np.empty(dim)
-    scale = np.empty(dim)
-    for t in range(H + 1):
-        mean[x_off[t] : x_off[t] + d_x] = fit.mu_x[t]
-        scale[x_off[t] : x_off[t] + d_x] = fit.v_x[t]
-    for t in range(H):
-        mean[a_off[t] : a_off[t] + d_a] = fit.mu_a[t]
-        scale[a_off[t] : a_off[t] + d_a] = fit.sigma[t]
-
+    step = d_x + d_a  # x_t starts at t * step and a_t at t * step + d_x
+    mean = np.concatenate([np.hstack([fit.mu_x[:H], fit.mu_a]).ravel(), fit.mu_x[H]])
+    scale = np.concatenate([np.hstack([fit.v_x[:H], fit.sigma]).ravel(), fit.v_x[H]])
+    dim = mean.size
+    psi = np.concatenate([fit.psi_x, fit.psi_a], axis=2)
     B = np.zeros((dim, dim))
     for t in range(H):
-        rows = slice(x_off[t + 1], x_off[t + 1] + d_x)
-        B[rows, x_off[t] : x_off[t] + d_x] = fit.psi_x[t]
-        if d_a:
-            B[rows, a_off[t] : a_off[t] + d_a] = fit.psi_a[t]
+        B[(t + 1) * step : (t + 1) * step + d_x, t * step : (t + 1) * step] = psi[t]
 
     transfer = np.linalg.solve(np.eye(dim) - B, np.diag(scale))
     cov = transfer @ transfer.T

@@ -128,10 +128,6 @@ class ErythroblastModel:
     dt: float = 3.0
     horizon: int = 10
 
-    param_names = PARAM_NAMES
-    state_dim = 2
-    observed_dim = 1
-
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")

@@ -6,10 +6,11 @@ worker count, or scheduling. Paths are namespaced by the constants below.
 
 A path's generator is the one numpy's ``SeedSequence`` gives for the seed
 with the path as spawn key. A path whose last element is an array of keys
-gives one such generator per key, derived together: the hash of the shared
-words (O'Neill 2015, "Developing a seed_seq alternative", pcg-random.org,
-as numpy implements it) runs once, and its last round and output run as
-array operations over the keys.
+gives one such generator per key, derived together: numpy's ``SeedSequence``
+mixes the shared words into its pool once, and the hash of each key into
+that pool and of the output (O'Neill 2015, "Developing a seed_seq
+alternative", pcg-random.org, as numpy implements it) run as array
+operations over the keys.
 """
 
 from __future__ import annotations
@@ -62,15 +63,19 @@ def substream(seed: int, *path):
 
 
 def _batch(seed: int, prefix, keys: np.ndarray) -> list:
-    """``substream(seed, *prefix, key)`` for each key, from one pass of the hash."""
+    """``substream(seed, *prefix, key)`` for each key, derived together.
+
+    numpy's ``SeedSequence`` mixes the words the keys share once: the seed's,
+    zero-padded to 4, then the prefix's. Only the keys' hashes run here.
+    """
     if keys.ndim != 1 or keys.dtype.kind not in "iu":
         raise ValueError(f"keys must be a 1-D integer array, got {keys.dtype} {keys.shape}")
     if not keys.size:
         return []
     if keys.min() < 0 or keys.max() > _MASK:
         raise ValueError("each key must lie in [0, 2**32)")
-    entropy = _words(seed).ljust(16, b"\0") + b"".join(map(_words, prefix))
-    state = _generate_state(_mix_entropy(np.frombuffer(entropy, "<u4").tolist(), keys))
+    words = np.frombuffer(_words(seed).ljust(16, b"\0") + b"".join(map(_words, prefix)), "<u4")
+    state = _generate_state(_mix_key(np.random.SeedSequence(words).pool, len(words), keys))
     np.random.bit_generator.ISeedSequence.register(_PresetState)
     generator, pcg64 = np.random.Generator, np.random.PCG64
     return [generator(pcg64(_PresetState(row))) for row in state]
@@ -103,26 +108,18 @@ def _constants(init: int, mult: int, count: int) -> list[int]:
 _STATE_CONSTS = np.array(_constants(_INIT_B, _MULT_B, 2 * _POOL), np.uint32)[:, None]
 
 
-def _mix_entropy(words: list[int], keys: np.ndarray) -> np.ndarray:
-    """numpy's 4-word ``SeedSequence`` pool of ``words`` (at least 4) then each key: (4, k).
+def _mix_key(pool: np.ndarray, n_words: int, keys: np.ndarray) -> np.ndarray:
+    """numpy's 4-word ``SeedSequence`` pool of ``n_words`` words, then each key: (4, k).
 
-    Every word past the first 4 is hashed once into each pool word, the
-    key last, so the shared words are mixed once and the key's 4 hashes
-    run as array operations over the keys.
+    ``pool`` is the pool numpy mixes from the ``n_words`` (at least 4)
+    words. That mixing takes 4 * n_words hashes, so the key's 4 hashes, one
+    into each pool word, take the constants that follow them; they run as
+    array operations over the keys.
     """
-    consts = _constants(_INIT_A, _MULT_A, _POOL * (len(words) + 1))
-    hashes = zip(consts, consts[1:])
-    pool = [_hash(word, *next(hashes)) for word in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], *next(hashes)))
-    for word in words[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hash(word, *next(hashes)))
-    last = np.array(consts[-_POOL - 1 :], np.uint32)[:, None]
-    hashed = _hash(keys.astype(np.uint32), last[:-1], last[1:])
-    return _mix(np.array(pool, np.uint32)[:, None], hashed)
+    start = _INIT_A * pow(_MULT_A, _POOL * n_words, 1 << 32) & _MASK
+    consts = np.array(_constants(start, _MULT_A, _POOL), np.uint32)[:, None]
+    hashed = _hash(keys.astype(np.uint32), consts[:-1], consts[1:])
+    return _mix(pool[:, None], hashed)
 
 
 def _generate_state(pool: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@
 The engine keeps the best ``alpha`` fraction of particles each generation,
 refills the rest by resampling and Gaussian perturbation, importance-weights
 the refills against the retained mixture, and tightens the distance
-tolerance to the ``alpha`` quantile of the pooled distances. It stops once
-the refill acceptance rate drops to ``p_acc_min`` or below.
+tolerance to the ``n_keep``-th smallest pooled distance, n_keep =
+floor(alpha * N). It stops once the refill acceptance rate drops to
+``p_acc_min`` or below.
 
 The engine is model-agnostic: it sees only a prior and a distance objective
 that gives each particle one distance or an array of L replicate distances,
@@ -46,7 +47,7 @@ class SmcSettings:
     """Engine controls.
 
     n_particles : population size N
-    alpha : fraction of particles retained between generations
+    alpha : fraction retained between generations: ``n_keep`` = floor(alpha * N)
     p_acc_min : stop once the refill acceptance rate is at or below this
     max_generations : safety cap on the number of generations
     """
@@ -65,9 +66,13 @@ class SmcSettings:
             raise ValueError("p_acc_min must lie in (0, 1]")
         if self.max_generations < 1:
             raise ValueError("max_generations must be positive")
-        n_keep = math.floor(self.alpha * self.n_particles)
-        if n_keep < 1 or n_keep >= self.n_particles:
+        if self.n_keep < 1 or self.n_keep >= self.n_particles:
             raise ValueError("alpha leaves no particles to retain or to refill")
+
+    @property
+    def n_keep(self) -> int:
+        """Particles retained each generation, floor(alpha * n_particles)."""
+        return math.floor(self.alpha * self.n_particles)
 
 
 @dataclass(eq=False)
@@ -235,19 +240,6 @@ class GenerationRecord:
     evaluate_s: float
     weight_s: float
     elapsed_s: float
-
-
-def adapt_tolerance(distances: np.ndarray, alpha: float) -> float:
-    """The ceil(alpha * n)-th smallest distance."""
-    distances = np.asarray(distances, dtype=float)
-    if distances.ndim != 1 or distances.size == 0:
-        raise ValueError("distances must be a non-empty 1-D array")
-    if not np.isfinite(distances).all():
-        raise ValueError("distances must be finite")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    k = math.ceil(alpha * distances.size)
-    return float(np.partition(distances, k - 1)[k - 1])
 
 
 def resample_indices(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -486,8 +478,7 @@ def run_abc_smc(
         and the weights include the replicate fractions.
     """
     t0 = time.perf_counter()
-    N = settings.n_particles
-    n_keep = math.floor(settings.alpha * N)
+    N, n_keep = settings.n_particles, settings.n_keep
     n_new = N - n_keep
     calls_per_eval = int(getattr(objective, "calls_per_evaluation", 1))
     executor, payload = None, None
@@ -497,13 +488,16 @@ def run_abc_smc(
     history = []
 
     def retain(thetas, weights, replicates, generation, p_acc, prior_rejections, clock):
-        """Keep the pool's particles within the alpha quantile of their smallest replicates.
+        """Keep the pool's particles within the new tolerance, the ``n_keep``-th smallest distance.
 
-        ``clock`` holds the times the generation's proposals started, its
-        evaluation started and its weighting started.
+        A particle's distance is its smallest replicate. ``clock`` holds the
+        times the generation's proposals started, its evaluation started and
+        its weighting started.
         """
         distances = replicates.min(axis=1)
-        tol = adapt_tolerance(distances, settings.alpha)
+        if not np.isfinite(distances).all():
+            raise ValueError("distances must be finite")
+        tol = float(np.partition(distances, n_keep - 1)[n_keep - 1])
         keep = distances <= tol
         population = Population(thetas[keep], weights[keep], replicates[keep], tol, generation)
         n_evaluations = N + (generation - 1) * n_new
@@ -672,7 +666,7 @@ class NaiveObjective(_PathObjective):
             self._copy = np.empty((self.slots_per_block * self.n_paths,) + states.shape[1:])
         copy = self._copy[: len(states)]
         np.copyto(copy, states)
-        simulated = Dataset(states=copy[:, :, : self.model.observed_dim], dt=self.model.dt)
+        simulated = Dataset(states=copy[:, :, :1], dt=self.model.dt)
         distances = naive_distance(self.observed, simulated, self.observed_terms)
         return distances.reshape(len(states) // self.n_paths, -1)
 

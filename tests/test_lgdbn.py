@@ -155,6 +155,20 @@ def test_joint_distribution_matches_sampler_moments():
     assert (np.abs(cov - sample_cov) < se).all()
 
 
+def test_joint_distribution_with_vector_state_and_action():
+    rng = np.random.default_rng(11)
+    fit, m = _random_fit(rng, H=3, d_x=2, d_a=1), 40000
+    mean, cov = joint_distribution(fit)
+    np.testing.assert_array_equal(mean, interleave(fit.mu_x[None], fit.mu_a[None])[0])
+
+    x, a = sample_lgdbn(
+        fit.mu_x, fit.mu_a, fit.psi_x, fit.psi_a, fit.sigma, fit.v_x, m=m, rng=rng
+    )
+    sample_cov = np.cov(interleave(x, a).T)
+    se = 5 * (np.abs(cov) + np.sqrt(np.outer(np.diag(cov), np.diag(cov)))) / np.sqrt(m)
+    assert (np.abs(cov - sample_cov) < se).all()
+
+
 def test_auxiliary_fit_validation():
     with pytest.raises(ValueError):
         AuxiliaryFit(

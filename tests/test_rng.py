@@ -14,7 +14,7 @@ def _reference(seed, path):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=path))
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**70])
+@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**70, 2**130])
 @pytest.mark.parametrize("path", [(), (3,), (2, 7), (3, 40, 2**33 + 1)])
 def test_substream_equals_the_spawn_key_seed_sequence(seed, path):
     got, want = substream(seed, *path), _reference(seed, path)
@@ -36,7 +36,7 @@ def test_substream_accepts_numpy_integers_and_rejects_negatives():
 KEYS = (0, 1, 77, 2**32 - 1)
 
 
-@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**70])
+@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**70, 2**130])
 @pytest.mark.parametrize("path", [(), (3,), (2, 7), (3, 40, 2**33 + 1)])
 def test_batch_substream_equals_one_spawn_key_seed_sequence_per_key(seed, path):
     batch = substream(seed, *path, np.array(KEYS, dtype=np.int64))

@@ -26,7 +26,6 @@ from hybridabc.smc import (
     SmcSettings,
     _evaluate_chunk,
     adapt_kernel,
-    adapt_tolerance,
     compute_weight,
     perturb,
     replicate_fractions,
@@ -62,30 +61,6 @@ def test_settings_validation():
     with pytest.raises(ValueError):
         SmcSettings(n_particles=3, alpha=0.1, p_acc_min=0.1)  # retains nothing
     assert SmcSettings(n_particles=10, alpha=0.5, p_acc_min=1.0).p_acc_min == 1.0
-
-
-def test_adapt_tolerance_order_statistic():
-    assert adapt_tolerance(np.array([1.0, 2.0, 3.0, 4.0]), 0.5) == 2.0
-    assert adapt_tolerance(np.array([4.0, 3.0, 2.0, 1.0]), 0.5) == 2.0
-    # ceil(0.34 * 3) = 2, so the second smallest.
-    assert adapt_tolerance(np.array([5.0, 1.0, 9.0]), 0.34) == 5.0
-    # ceil(0.2 * 5) = 1: the minimum.
-    assert adapt_tolerance(np.array([3.0, 2.0, 8.0, 6.0, 7.0]), 0.2) == 2.0
-
-
-def test_adapt_tolerance_uniform_median():
-    rng = np.random.default_rng(0)
-    draws = rng.random(10001)
-    assert adapt_tolerance(draws, 0.5) == pytest.approx(0.5, abs=0.02)
-
-
-def test_adapt_tolerance_validation():
-    with pytest.raises(ValueError):
-        adapt_tolerance(np.array([]), 0.5)
-    with pytest.raises(ValueError):
-        adapt_tolerance(np.array([1.0, np.inf]), 0.5)
-    with pytest.raises(ValueError):
-        adapt_tolerance(np.array([1.0, 2.0]), 1.0)
 
 
 def test_resampling_matches_weight_proportions():
@@ -442,6 +417,27 @@ def test_engine_stops_immediately_at_unit_threshold():
     assert len(posterior.history) == 1
     assert len(posterior) >= 60  # floor(alpha * N)
     np.testing.assert_allclose(posterior.weights, 1.0 / len(posterior))
+
+
+def test_engine_keeps_floor_alpha_n_when_alpha_n_is_not_whole():
+    # 0.5 * 25 = 12.5: every generation keeps 12 and refills 13, so the
+    # pool stays at N.
+    settings = _toy_settings(n_particles=25, p_acc_min=0.05, max_generations=6)
+    assert settings.n_keep == 12
+    posterior = run_abc_smc(TOY_PRIOR, TOY, settings, seed=6)
+    assert len(posterior.history) > 1
+    for record in posterior.history:
+        assert record.n_retained == 12
+        assert record.n_evaluations == 25 + (record.generation - 1) * 13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_engine_refuses_non_finite_distances(bad):
+    def objective(theta, rng):
+        return bad if theta[0] > 0.0 else abs(float(theta[0]))
+
+    with pytest.raises(ValueError, match="distances must be finite"):
+        run_abc_smc(TOY_PRIOR, objective, _toy_settings(n_particles=20), seed=3)
 
 
 def test_engine_histories_and_counters():
