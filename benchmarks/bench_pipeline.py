@@ -17,22 +17,25 @@ so that neither side's set-up gains from a bytecode cache the other lacks.
 
 The output holds, per seed and workload: each pair's ``run_s``,
 ``setup_s`` and ``peak_rss_mb``, whether every call matched its
-fingerprint, and the pair's head/base ``run_s`` ratio; each side's median
-and quartiles of those metrics; the median and quartiles of the pairs'
-ratios, which a drift of the host over the comparison moves less than the
-spread of either side's runs; the number of pairs in which this
-checkout's ``run_s`` was lower; whether every call on both sides gave the
-same result fingerprint (engine counts, final tolerances, posterior means
-and, for the cell, KS values), and that fingerprint; and each side's
-traced per-layer metrics and exact engine counts. ``src_lines`` is the
-line count of ``src/`` on each side, and ``dirty`` says whether a side has
-uncommitted changes.
+fingerprint, and the pair's head/base ratio of each of those metrics; each
+side's median and quartiles of those metrics; per metric, the median and
+quartiles of the pairs' ratios, which a drift of the host over the
+comparison moves less than the spread of either side's runs, the number of
+pairs in which this checkout's value was lower, and whether a claim of a
+gain on it holds: lower in at least 9 of 10 pairs, and a median lower than
+the base's by more than the base's quartile spread; whether every call on
+both sides gave the same result fingerprint (engine counts, final
+tolerances, posterior means and, for the cell, KS values), and that
+fingerprint; and each side's traced per-layer metrics and exact engine
+counts. ``src_lines`` is the line count of ``src/`` on each side, and
+``dirty`` says whether a side has uncommitted changes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -66,6 +69,11 @@ def run_pipebench(root: Path, workload: str, seed: int, seconds: int, trace: int
     return record
 
 
+def _ratio(head: float, base: float) -> float:
+    """head / base, or NaN when the base read 0."""
+    return head / base if base else math.nan
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -84,7 +92,7 @@ def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
             pair[side]["correct"] = record["correct"]
             pair[side]["failed"] = record["failed"]
             fingerprints[side].extend(call["fingerprint"] for call in record["calls"])
-        pair["run_s_ratio"] = pair["head"]["run_s"] / pair["base"]["run_s"]
+        pair["ratio"] = {name: _ratio(pair["head"][name], pair["base"][name]) for name in END_TO_END}
         pairs.append(pair)
         print(
             f"{workload} seed {seed} pair {i + 1}: run_s {pair['base']['run_s']:.4f} -> "
@@ -104,11 +112,18 @@ def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
         side: {name: spread([p[side][name] for p in pairs]) for name in END_TO_END}
         for side in ("base", "head")
     }
+    head_lower = {name: sum(p["head"][name] < p["base"][name] for p in pairs) for name in END_TO_END}
     return {
         "pairs": pairs,
         "summary": sides,
-        "run_s_ratio": spread([p["run_s_ratio"] for p in pairs]),
-        "head_faster": sum(p["head"]["run_s"] < p["base"]["run_s"] for p in pairs),
+        "ratio": {name: spread([p["ratio"][name] for p in pairs]) for name in END_TO_END},
+        "head_lower": head_lower,
+        "claim_holds": {
+            name: 10 * head_lower[name] >= 9 * len(pairs)
+            and sides["base"][name]["median"] - sides["head"][name]["median"]
+            > sides["base"][name]["q3"] - sides["base"][name]["q1"]
+            for name in END_TO_END
+        },
         "all_correct": all(p[side]["correct"] for p in pairs for side in ("base", "head")),
         "same_results": all(f == first for f in fingerprints["base"] + fingerprints["head"]),
         "fingerprint": first,
@@ -168,14 +183,19 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for seed, workloads in result["seeds"].items():
         for workload, entry in workloads.items():
-            base_run, head_run = (entry["summary"][side]["run_s"] for side in ("base", "head"))
-            ratio = entry["run_s_ratio"]
+            metrics = []
+            for name in END_TO_END:
+                base_m, head_m = (entry["summary"][side][name] for side in ("base", "head"))
+                ratio = entry["ratio"][name]
+                metrics.append(
+                    f"{name} {base_m['median']:.4f} [{base_m['q1']:.4f}-{base_m['q3']:.4f}] -> "
+                    f"{head_m['median']:.4f}, head/base ratio {ratio['median']:.3f} "
+                    f"[{ratio['q1']:.3f}-{ratio['q3']:.3f}], lower in {entry['head_lower'][name]} "
+                    f"of {len(entry['pairs'])}, claim holds: {entry['claim_holds'][name]}"
+                )
             print(
-                f"seed {seed} {workload}: run_s {base_run['median']:.4f} "
-                f"[{base_run['q1']:.4f}-{base_run['q3']:.4f}] -> {head_run['median']:.4f}, "
-                f"head/base ratio {ratio['median']:.3f} [{ratio['q1']:.3f}-{ratio['q3']:.3f}], "
-                f"faster in {entry['head_faster']} of {len(entry['pairs'])}, "
-                f"all correct: {entry['all_correct']}, same results: {entry['same_results']}"
+                f"seed {seed} {workload}: " + "; ".join(metrics) + f"; all correct: "
+                f"{entry['all_correct']}, same results: {entry['same_results']}"
             )
     return 0
 

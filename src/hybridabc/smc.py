@@ -1,11 +1,11 @@
 """Sequential Monte Carlo engine for approximate Bayesian computation.
 
 The engine keeps the best ``alpha`` fraction of particles each generation,
-refills the rest by resampling and Gaussian perturbation, importance-weights
-the refills against the retained mixture, and tightens the distance
-tolerance to the ``n_keep``-th smallest pooled distance, n_keep =
-floor(alpha * N). It stops once the refill acceptance rate drops to
-``p_acc_min`` or below.
+exactly n_keep = floor(alpha * N) with ties broken by pool order, refills
+the rest by resampling and Gaussian perturbation, importance-weights the
+refills against the retained mixture, and tightens the distance tolerance
+to the ``n_keep``-th smallest pooled distance. It stops once the refill
+acceptance rate drops to ``p_acc_min`` or below.
 
 The engine is model-agnostic: it sees only a prior and a distance objective
 that gives each particle one distance or an array of L replicate distances,
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,6 +40,19 @@ from .distance import observed_energy_terms
 from .lgdbn import summarize
 from .model import Dataset, Prior
 from .rng import STREAM_PROPOSAL, STREAM_SIMULATION, substream
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use and kept in the module."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -122,7 +135,12 @@ class Population:
 
 @dataclass(frozen=True, eq=False)
 class PerturbationKernel:
-    """Zero-mean Gaussian move kernel with a fixed covariance."""
+    """Zero-mean Gaussian move kernel with a fixed covariance.
+
+    The covariance is factorized by Cholesky; its eigenvalues are computed
+    only when that fails, to tell a singular covariance, which moves
+    nothing, from one that is not positive semidefinite.
+    """
 
     covariance: np.ndarray
 
@@ -133,12 +151,12 @@ class PerturbationKernel:
         if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10):
             raise ValueError("covariance must be symmetric")
         cov = (cov + cov.T) / 2.0
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
-            raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "covariance", cov)
         try:
             chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
+            if np.linalg.eigvalsh(cov).min() < -1e-10:
+                raise ValueError("covariance must be positive semidefinite") from None
             chol = None
         object.__setattr__(self, "_chol", chol)
         if chol is not None:
@@ -387,8 +405,15 @@ def _evaluate_chunk(objective, seed, generation, slots, thetas):
 
 
 def open_pool(workers: int) -> ProcessPoolExecutor:
-    """A process pool of ``workers`` workers, which ``run_abc_smc`` runs can share."""
-    return ProcessPoolExecutor(max_workers=workers)
+    """A process pool of ``workers`` workers, which ``run_abc_smc`` runs can share.
+
+    The pool class is imported on first use, here, before the first worker
+    forks, so a single-worker run never loads ``concurrent.futures`` or
+    ``multiprocessing``. It is looked up among the module's attributes, so
+    a class patched onto ``smc.ProcessPoolExecutor`` is the one built.
+    """
+    pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+    return pool_class(max_workers=workers)
 
 
 #: The pickled objective a pool worker last received and the objective
@@ -488,17 +513,20 @@ def run_abc_smc(
     history = []
 
     def retain(thetas, weights, replicates, generation, p_acc, prior_rejections, clock):
-        """Keep the pool's particles within the new tolerance, the ``n_keep``-th smallest distance.
+        """Keep the pool's ``n_keep`` particles of smallest distance, in pool order.
 
-        A particle's distance is its smallest replicate. ``clock`` holds the
-        times the generation's proposals started, its evaluation started and
-        its weighting started.
+        A particle's distance is its smallest replicate, and ties are broken
+        by pool order. The new tolerance is the ``n_keep``-th smallest
+        distance. ``clock`` holds the times the generation's proposals
+        started, its evaluation started and its weighting started.
         """
         distances = replicates.min(axis=1)
         if not np.isfinite(distances).all():
             raise ValueError("distances must be finite")
-        tol = float(np.partition(distances, n_keep - 1)[n_keep - 1])
-        keep = distances <= tol
+        best = np.argsort(distances, kind="stable")[:n_keep]
+        tol = float(distances[best[-1]])
+        keep = np.zeros(len(distances), dtype=bool)
+        keep[best] = True
         population = Population(thetas[keep], weights[keep], replicates[keep], tol, generation)
         n_evaluations = N + (generation - 1) * n_new
         now = time.perf_counter()

@@ -575,6 +575,34 @@ def test_console_script_entry_point():
     assert proc.stdout.startswith("ok:")
 
 
+def test_single_worker_runs_never_load_the_pool_stack(tmp_path):
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(hybridabc.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = textwrap.dedent(
+        """
+        import sys
+        from hybridabc.cli import main
+
+        data, out = sys.argv[1:]
+        common = ["--quiet", "--preset", "smoke"]
+        assert main(["generate", *common, "--out", data]) == 0
+        assert main(["infer", *common, "--data", data, "--workers", "1", "--out", out]) == 0
+        print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "data.csv"), str(tmp_path / "run")],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "run" / "posterior.csv").exists()
+
+
 def _canonical(dist: str) -> str:
     return re.sub(r"[-_.]+", "-", dist).lower()
 

@@ -162,6 +162,22 @@ def test_perturbation_kernel_validation():
         PerturbationKernel(covariance=np.array([[-1.0]]))
 
 
+def test_perturbation_kernel_needs_eigenvalues_only_when_cholesky_fails(monkeypatch):
+    def refused(a):
+        raise AssertionError("eigvalsh called on a positive definite covariance")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    kernel = PerturbationKernel(covariance=np.array([[4.0, 1.0], [1.0, 9.0]]))
+    assert kernel._chol is not None
+    thetas = np.random.default_rng(2).uniform(PRIOR.lows, PRIOR.highs, size=(30, PRIOR.dim))
+    pop = Population(thetas, np.linspace(1.0, 2.0, 30), np.zeros((30, 1)), 0.0, 1)
+    assert adapt_kernel(pop)._chol is not None
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        PerturbationKernel(covariance=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert PerturbationKernel(covariance=np.array([[0.0]]))._chol is None
+
+
 def test_perturb_respects_prior_support():
     prior = Prior(names=("p",), lows=np.array([0.0]), highs=np.array([1.0]))
     kernel = PerturbationKernel(covariance=np.array([[100.0]]))
@@ -429,6 +445,22 @@ def test_engine_keeps_floor_alpha_n_when_alpha_n_is_not_whole():
     for record in posterior.history:
         assert record.n_retained == 12
         assert record.n_evaluations == 25 + (record.generation - 1) * 13
+
+
+def test_engine_keeps_n_keep_particles_when_distances_tie():
+    # Whole-number distances tie with the tolerance; the ties are broken by
+    # pool order, so the pool stays at N.
+    prior = Prior(names=("mean",), lows=np.array([-3.0]), highs=np.array([3.0]))
+
+    def objective(theta, rng):
+        return math.floor(abs(theta[0]) + rng.random())
+
+    settings = SmcSettings(n_particles=20, alpha=0.5, p_acc_min=0.05, max_generations=6)
+    posterior = run_abc_smc(prior, objective, settings, seed=1)
+    assert len(posterior.history) > 1
+    for record in posterior.history:
+        assert record.n_retained == 10
+        assert record.n_evaluations == 20 + (record.generation - 1) * 10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
