@@ -29,6 +29,11 @@ tolerances, posterior means and, for the cell, KS values), and that
 fingerprint; and each side's traced per-layer metrics and exact engine
 counts. ``src_lines`` is the line count of ``src/`` on each side, and
 ``dirty`` says whether a side has uncommitted changes.
+
+After the comparisons it runs the Tier-1 suite once in each checkout
+(``python -m pytest -q --continue-on-collection-errors`` with
+``PYTHONPATH=src``) and records, under ``tier1``, its wall time ``tier1_s``,
+its exit code and its outcome counts. This is a record, not a gate.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import json
 import math
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -131,6 +137,18 @@ def compare(base: Path, head: Path, workload: str, seed: int, args) -> dict:
     }
 
 
+def tier1(root: Path) -> dict:
+    """One Tier-1 run in ``root``: wall time, exit code and outcome counts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    summary = proc.stdout.strip().splitlines()[-1:] or [""]
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) ([a-z]+)", summary[0])}
+    return {"tier1_s": elapsed, "exit_code": proc.returncode, "counts": counts}
+
+
 def src_lines(root: Path) -> int:
     return sum(p.read_text().count("\n") for p in sorted((root / "src").rglob("*.py")))
 
@@ -179,6 +197,7 @@ def main(argv=None) -> int:
             for seed in result_seeds
         },
     }
+    result["tier1"] = {"base": tier1(base), "head": tier1(HERE)}
     result["elapsed_s"] = time.time() - started
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for seed, workloads in result["seeds"].items():
@@ -197,6 +216,8 @@ def main(argv=None) -> int:
                 f"seed {seed} {workload}: " + "; ".join(metrics) + f"; all correct: "
                 f"{entry['all_correct']}, same results: {entry['same_results']}"
             )
+    for side, run in result["tier1"].items():
+        print(f"tier-1 {side}: {run['tier1_s']:.1f} s, exit {run['exit_code']}, {run['counts']}")
     return 0
 
 

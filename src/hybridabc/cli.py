@@ -20,7 +20,6 @@ from pathlib import Path
 from . import evaluate, io
 from ._version import __version__
 from .config import PRESETS, ConfigError, ExperimentConfig, load_config
-from .model import PARAM_NAMES, generate_dataset
 from .rng import STREAM_OBSERVED, substream
 from .smc import OBJECTIVES, run_inference
 
@@ -109,28 +108,22 @@ def _say(args, message: str) -> None:
 
 def cmd_generate(args) -> int:
     cfg, seed, echo = _load(args)
-    dataset = generate_dataset(
-        cfg.true_theta(),
-        cfg.init,
-        cfg.batches,
-        1,
-        cfg.horizon,
-        cfg.dt,
-        substream(seed, STREAM_OBSERVED),
-    )
+    rng = substream(seed, STREAM_OBSERVED)
+    dataset = evaluate.observed_dataset(cfg.model, cfg.true_theta(), cfg.batches, rng)
     out = Path(args.out) if args.out else Path(cfg.output_dir) / "dataset.csv"
     io.write_dataset(out, dataset, echo)
     _say(args, f"wrote {len(dataset)} trajectories to {out}")
     return 0
 
 
-def _check_dataset(cfg: ExperimentConfig, dataset) -> None:
-    if dataset.horizon != cfg.horizon:
-        raise ValueError(
-            f"dataset horizon {dataset.horizon} does not match config horizon {cfg.horizon}"
-        )
-    if abs(dataset.dt - cfg.dt) > 1e-9:
-        raise ValueError(f"dataset dt {dataset.dt} does not match config dt {cfg.dt}")
+def _check_dataset(model, dataset) -> None:
+    """Refuse a dataset whose time grid or start is not the model's."""
+    expected = [("horizon", dataset.horizon, model.horizon), ("dt", dataset.dt, model.dt)]
+    starts = dataset.states[:, 0, 0].tolist()
+    expected += [(f"trajectory {i} start", x, model.init_rho) for i, x in enumerate(starts)]
+    for what, got, want in expected:
+        if abs(got - want) > 1e-9:
+            raise ValueError(f"dataset {what} {got!r} does not match the config's {want!r}")
 
 
 def _print_record(args, record, **labels) -> None:
@@ -145,12 +138,12 @@ def _print_record(args, record, **labels) -> None:
 def cmd_infer(args) -> int:
     cfg, seed, echo = _load(args)
     dataset = io.read_dataset(args.data)
-    _check_dataset(cfg, dataset)
+    _check_dataset(cfg.model, dataset)
     method = args.method or cfg.distance
     echo["engine"] = dict(echo.get("engine", {}), distance=method)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     posterior = run_inference(
-        cfg.build_model(),
+        cfg.model,
         cfg.prior,
         dataset,
         method,
@@ -160,7 +153,7 @@ def cmd_infer(args) -> int:
         workers=_workers(args),
         progress=lambda record: _print_record(args, record, method=method),
     )
-    io.write_posterior(out_dir / "posterior.csv", posterior, PARAM_NAMES, echo)
+    io.write_posterior(out_dir / "posterior.csv", posterior, echo)
     io.write_history(out_dir / "history.csv", posterior.history, echo)
     _say(
         args,
@@ -176,7 +169,6 @@ def cmd_experiment(args) -> int:
     cfg, seed, echo = _load(args)
     out_dir = Path(args.out) if args.out else Path(cfg.output_dir)
     workers = _workers(args)
-    model = cfg.build_model()
 
     ks_rows = []
     ratio_rows = []
@@ -196,7 +188,7 @@ def cmd_experiment(args) -> int:
 
             try:
                 cell = evaluate.run_cell(
-                    model,
+                    cfg.model,
                     cfg.prior,
                     cfg.kinetics(),
                     noise,
@@ -226,9 +218,9 @@ def cmd_experiment(args) -> int:
             ks_rows.extend(cell.ks_summary())
             ratio_rows.append(cell.ratio_summary())
 
-    io.write_grid_table(out_dir / "ks_table.csv", "ks-table", evaluate.KS_COLUMNS, ks_rows, echo)
-    io.write_grid_table(
-        out_dir / "ratio_table.csv", "ratio-table", evaluate.RATIO_COLUMNS, ratio_rows, echo
+    io.write_table(out_dir / "ks_table.csv", "ks-table", echo, evaluate.KS_COLUMNS, ks_rows)
+    io.write_table(
+        out_dir / "ratio_table.csv", "ratio-table", echo, evaluate.RATIO_COLUMNS, ratio_rows
     )
     _say(args, f"wrote {out_dir / 'ks_table.csv'} and {out_dir / 'ratio_table.csv'}")
     if failed:

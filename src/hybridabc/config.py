@@ -138,9 +138,7 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     true_values: dict
-    init: tuple[float, float]
-    dt: float
-    horizon: int
+    model: ErythroblastModel
     batches: int
     prior: Prior
     engine: SmcSettings
@@ -154,12 +152,7 @@ class ExperimentConfig:
     raw: dict
 
     def build_model(self) -> ErythroblastModel:
-        return ErythroblastModel(
-            init_rho=self.init[0],
-            init_inh=self.init[1],
-            dt=self.dt,
-            horizon=self.horizon,
-        )
+        return self.model
 
     def true_theta(self) -> np.ndarray:
         return np.array([self.true_values[name] for name in PARAM_NAMES])
@@ -221,6 +214,11 @@ def _validate(cfg: dict) -> ExperimentConfig:
             raise ConfigError(f"prior.{name}", "expected [low, high]")
         if not bounds[0] < bounds[1]:
             raise ConfigError(f"prior.{name}", "low must be below high")
+    for name in PARAM_NAMES[4:]:
+        if model["true_values"][name] < 0:
+            raise ConfigError(f"model.true_values.{name}", "shock std must be non-negative")
+        if cfg["prior"][name][0] < 0:
+            raise ConfigError(f"prior.{name}", "shock std bounds must be non-negative")
     box = np.array([cfg["prior"][name] for name in PARAM_NAMES], dtype=float)
     prior = Prior(names=PARAM_NAMES, lows=box[:, 0], highs=box[:, 1])
 
@@ -252,9 +250,7 @@ def _validate(cfg: dict) -> ExperimentConfig:
         seed=cfg["seed"],
         output_dir=cfg["output_dir"],
         true_values={name: float(model["true_values"][name]) for name in PARAM_NAMES},
-        init=(float(init[0]), float(init[1])),
-        dt=float(model["dt"]),
-        horizon=horizon,
+        model=ErythroblastModel(float(init[0]), float(init[1]), float(model["dt"]), horizon),
         batches=model["batches"],
         prior=prior,
         engine=settings,

@@ -5,7 +5,8 @@ step: draw parameters from the weighted particles, push one fresh simulated
 path through each draw, and compare against draws simulated under the true
 parameters with a two-sample Kolmogorov-Smirnov statistic. The latent
 inhibitor is read off the full simulated state, so the comparison covers
-both the observed and the hidden coordinate.
+both the observed and the hidden coordinate. ``observed_dataset`` draws
+the observed data, for ``generate`` and every macro-replication alike.
 
 ``run_cell`` repeats the whole pipeline over independent macro-replications
 for both distance methods under common random numbers and aggregates K-S
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ErythroblastModel, Prior, generate_dataset
+from .model import Dataset, ErythroblastModel, Prior, generate_dataset
 from .rng import (
     STREAM_OBSERVED,
     STREAM_POSTERIOR_PREDICTIVE,
@@ -31,10 +32,16 @@ from .rng import (
 )
 from .smc import OBJECTIVES, PosteriorApproximation, SmcSettings, open_pool, run_inference
 
-#: Columns of the grid tables in file order: the keys of each
+#: Columns of the grid tables in file order: the values of each
 #: ``CellResult.ks_summary`` row and of ``CellResult.ratio_summary``.
 KS_COLUMNS = ("method", "state", "v", "m", "ks_mean", "ks_ci_halfwidth", "replications")
 RATIO_COLUMNS = ("v", "m", "ratio_mean", "ratio_ci_halfwidth", "replications")
+
+
+def observed_dataset(model: ErythroblastModel, theta, m: int, rng) -> Dataset:
+    """``m`` observed trajectories of ``model`` under ``theta``, one path each."""
+    init = (model.init_rho, model.init_inh)
+    return generate_dataset(theta, init, m, 1, model.horizon, model.dt, rng)
 
 
 def _target_row(model: ErythroblastModel, target_t: int) -> int:
@@ -137,8 +144,8 @@ class CellResult:
         """Naive over auxiliary wall time, one per completed replication."""
         return [r.ratio for r in self.method_records("auxiliary")]
 
-    def ks_summary(self) -> list[dict]:
-        """CI rows per (method, state)."""
+    def ks_summary(self) -> list[tuple]:
+        """CI rows per (method, state), in ``KS_COLUMNS`` order."""
         rows = []
         for method in OBJECTIVES:
             records = self.method_records(method)
@@ -146,14 +153,13 @@ class CellResult:
                 continue
             for state, attr in (("rho", "ks_rho"), ("I", "ks_inh")):
                 mean, half = confidence_interval([getattr(r, attr) for r in records])
-                values = (method, state, self.noise, self.batches, mean, half, len(records))
-                rows.append(dict(zip(KS_COLUMNS, values)))
+                rows.append((method, state, self.noise, self.batches, mean, half, len(records)))
         return rows
 
-    def ratio_summary(self) -> dict:
+    def ratio_summary(self) -> tuple:
         ratios = self.ratios
         mean, half = confidence_interval(ratios) if ratios else (float("nan"), float("nan"))
-        return dict(zip(RATIO_COLUMNS, (self.noise, self.batches, mean, half, len(ratios))))
+        return (self.noise, self.batches, mean, half, len(ratios))
 
 
 def run_replication(
@@ -177,15 +183,7 @@ def run_replication(
     ``pool`` is an open pool from ``open_pool(workers)`` for both engine runs.
     Returns (records keyed by method, predictive samples keyed by source).
     """
-    observed = generate_dataset(
-        theta_true,
-        (model.init_rho, model.init_inh),
-        batches,
-        1,
-        model.horizon,
-        model.dt,
-        substream(rep_seed, STREAM_OBSERVED),
-    )
+    observed = observed_dataset(model, theta_true, batches, substream(rep_seed, STREAM_OBSERVED))
     true_pred = sample_true_predictive(
         theta_true,
         model,

@@ -69,8 +69,6 @@ def read_table(path) -> tuple[dict, list[str], list[list[str]]]:
             if ":" in body:
                 key, _, value = body.partition(":")
                 meta[key.strip()] = value.strip()
-            else:
-                meta.setdefault("title", body)
             continue
         if not columns:
             columns = line.split(",")
@@ -142,8 +140,8 @@ def read_dataset(path) -> Dataset:
     return Dataset(states=states, dt=dt)
 
 
-def write_posterior(path, posterior, param_names, config_echo: dict) -> None:
-    """Retained particles: parameter columns, weight, distance."""
+def write_posterior(path, posterior, config_echo: dict) -> None:
+    """Retained particles: one column per ``PARAM_NAMES`` entry, weight, distance."""
     rows = [
         tuple(posterior.thetas[i]) + (posterior.weights[i], posterior.distances[i])
         for i in range(len(posterior))
@@ -152,7 +150,7 @@ def write_posterior(path, posterior, param_names, config_echo: dict) -> None:
         path,
         "posterior",
         config_echo,
-        list(param_names) + ["weight", "distance"],
+        [*PARAM_NAMES, "weight", "distance"],
         rows,
         meta={
             "generations": posterior.generations,
@@ -224,11 +222,6 @@ def write_replications(path, cell, config_echo: dict) -> None:
         rows,
         meta={"failures": json.dumps([[r, reason] for r, reason in cell.failures])},
     )
-
-
-def write_grid_table(path, kind: str, columns, rows, config_echo: dict) -> None:
-    """One row per cell summary (a dict), its ``columns`` values in order."""
-    write_table(path, kind, config_echo, columns, [[r[c] for c in columns] for r in rows])
 
 
 def write_predictive(path, predictive: dict, target_t: int, config_echo: dict) -> None:

@@ -224,8 +224,8 @@ class PosteriorApproximation:
         return float(self.weights[inside].sum())
 
     def sample_indices(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Particle indices drawn by weight."""
-        return resample_indices(self.weights, rng, n)
+        """Particle indices drawn by weight; the engine's weights are never negative or all 0."""
+        return _draw_indices(np.cumsum(self.weights), rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -258,16 +258,6 @@ class GenerationRecord:
     evaluate_s: float
     weight_s: float
     elapsed_s: float
-
-
-def resample_indices(weights: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    weights = np.asarray(weights, dtype=float)
-    if (weights < 0).any():
-        raise ValueError("weights must be non-negative")
-    cum = np.cumsum(weights)
-    if cum.size == 0 or cum[-1] <= 0.0:
-        raise ValueError("weights must carry positive total mass")
-    return _draw_indices(cum, rng.random(n))
 
 
 def _draw_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

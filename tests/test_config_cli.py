@@ -17,7 +17,7 @@ import hybridabc
 from hybridabc import io
 from hybridabc.cli import _print_record, build_parser, main
 from hybridabc.config import PRESETS, ConfigError, build_config, load_config
-from hybridabc.model import generate_dataset
+from hybridabc.model import PARAM_NAMES, generate_dataset
 from hybridabc.smc import OBJECTIVES, GenerationRecord, SmcSettings, run_abc_smc
 
 TINY_ENGINE = textwrap.dedent(
@@ -47,9 +47,10 @@ def test_defaults_match_documented_protocol():
     assert cfg.engine.max_generations == 200
     assert cfg.sim_replicates == 30
     assert cfg.distance == "auxiliary"
-    assert cfg.horizon == 10
-    assert cfg.dt == 3.0
-    assert cfg.init == (3.0, 0.0)
+    model = cfg.build_model()
+    assert model.horizon == 10
+    assert model.dt == 3.0
+    assert (model.init_rho, model.init_inh) == (3.0, 0.0)
     assert cfg.batches == 20
     assert cfg.noise_levels == (0.1, 0.2)
     assert cfg.batch_sizes == (3, 6, 20)
@@ -129,6 +130,10 @@ def test_true_theta_noise_override_and_kinetics():
         ({"prior": {"r_g": [0.0, float("inf")]}}, "prior.r_g"),
         ({"model": {"true_values": {"r_g": float("nan")}}}, "model.true_values.r_g"),
         ({"experiment": {"noise_levels": [10**400]}}, "experiment.noise_levels"),
+        ({"model": {"true_values": {"v_rho": -0.1}}}, "model.true_values.v_rho"),
+        ({"model": {"true_values": {"v_I": -0.1}}}, "model.true_values.v_I"),
+        ({"prior": {"v_rho": [-0.1, 0.2]}}, "prior.v_rho"),
+        ({"prior": {"v_I": [-0.1, 0.2]}}, "prior.v_I"),
     ],
 )
 def test_validation_reports_field_paths(override, path):
@@ -344,13 +349,15 @@ def test_posterior_file_contents(tmp_path):
     toy = ToyNormalObjective(obs_mean=0.5, obs_std=1.0)
     settings = SmcSettings(n_particles=40, alpha=0.5, p_acc_min=0.5, max_generations=3)
     posterior = run_abc_smc(prior, toy, settings, seed=2)
+    # Posterior files hold the model's six parameters.
+    posterior = dataclasses.replace(posterior, thetas=np.tile(posterior.thetas, (1, 6)))
     path = tmp_path / "posterior.csv"
-    io.write_posterior(path, posterior, ("mean",), {"seed": 2})
+    io.write_posterior(path, posterior, {"seed": 2})
     meta, columns, rows = io.read_table(path)
-    assert columns == ["mean", "weight", "distance"]
+    assert columns == [*PARAM_NAMES, "weight", "distance"]
     assert meta["generations"] == str(posterior.generations)
     assert meta["stopped_by"] == posterior.stopped_by
-    weights = np.array([float(r[1]) for r in rows])
+    weights = np.array([float(r[6]) for r in rows])
     assert weights.sum() == pytest.approx(1.0, rel=1e-9)
     assert len(rows) == len(posterior)
 
@@ -512,6 +519,15 @@ def test_cli_infer_rejects_mismatched_dataset(tmp_path, capsys):
     )
     assert code == 1
     assert "horizon" in capsys.readouterr().err
+    # The same grid, started elsewhere: the data begin at 3.0, the config at 1.0.
+    moved = tmp_path / "moved.yaml"
+    moved.write_text(TINY_ENGINE.replace("  batches: 3\n", "  batches: 3\n  init: [1.0, 0.0]\n"))
+    code = main(
+        ["infer", "--quiet", "--config", str(moved), "--data", str(data), "--out", str(tmp_path / "y")]
+    )
+    assert code == 1
+    assert "trajectory 0 start 3.0 does not match the config's 1.0" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_cli_experiment_smoke(tmp_path):

@@ -8,8 +8,11 @@ import hybridabc.evaluate as evaluate
 from hybridabc import io
 from hybridabc import smc
 from helpers import brute_force_ks, reference_trajectory
+from hybridabc.cli import main
 from hybridabc.config import build_config
 from hybridabc.evaluate import (
+    KS_COLUMNS,
+    RATIO_COLUMNS,
     CellResult,
     ReplicationRecord,
     confidence_interval,
@@ -151,6 +154,30 @@ def test_run_replication_is_reproducible():
         assert pred_a[source].shape == (100, 2)
 
 
+def test_generate_writes_the_data_a_replication_fits(monkeypatch, tmp_path):
+    config = tmp_path / "cfg.yaml"
+    config.write_text("model:\n  true_values: {v_rho: 0.2, v_I: 0.2}\n  batches: 6\n")
+    path = tmp_path / "dataset.csv"
+    args = ["generate", "--quiet", "--config", str(config), "--out", str(path), "--seed", "41"]
+    assert main(args) == 0
+
+    class Captured(Exception):
+        pass
+
+    def capture(model, prior, observed, *args, **kwargs):
+        raise Captured(observed)
+
+    monkeypatch.setattr(evaluate, "run_inference", capture)
+    cfg = build_config()
+    theta_true = np.concatenate([cfg.kinetics(), [0.2, 0.2]])
+    with pytest.raises(Captured) as caught:
+        run_replication(cfg.build_model(), PRIOR, theta_true, 6, QUICK, 2, 11, 10, rep_seed=41)
+    observed = caught.value.args[0]
+    written = io.read_dataset(path)
+    assert observed.states.shape == (6, 11, 1) and written.dt == observed.dt
+    np.testing.assert_array_equal(written.states, observed.states)
+
+
 def test_run_cell_aggregates_both_methods():
     model = ErythroblastModel()
     result = run_cell(
@@ -171,7 +198,7 @@ def test_run_cell_aggregates_both_methods():
     assert not result.failures
     assert set(result.predictive) == {"true-model", "posterior-auxiliary", "posterior-naive"}
     assert len(result.method_records("auxiliary")) == 2
-    rows = result.ks_summary()
+    rows = [dict(zip(KS_COLUMNS, row)) for row in result.ks_summary()]
     assert len(rows) == 4
     assert {(row["method"], row["state"]) for row in rows} == {
         ("auxiliary", "rho"),
@@ -184,7 +211,7 @@ def test_run_cell_aggregates_both_methods():
         assert np.isfinite(row["ks_mean"])
     aux, naive = result.method_records("auxiliary"), result.method_records("naive")
     assert result.ratios == [n.runtime_s / a.runtime_s for a, n in zip(aux, naive)]
-    ratio = result.ratio_summary()
+    ratio = dict(zip(RATIO_COLUMNS, result.ratio_summary()))
     assert ratio["replications"] == 2
     assert ratio["ratio_mean"] > 0.0
     # Replication seeds are offsets from the cell seed.
@@ -474,4 +501,4 @@ def test_replication_record_is_plain_data():
     assert rec.method == "auxiliary"
     empty = CellResult(noise=0.1, batches=3)
     assert empty.ks_summary() == []
-    assert np.isnan(empty.ratio_summary()["ratio_mean"])
+    assert np.isnan(empty.ratio_summary()[RATIO_COLUMNS.index("ratio_mean")])

@@ -29,7 +29,6 @@ from hybridabc.smc import (
     compute_weight,
     perturb,
     replicate_fractions,
-    resample_indices,
     run_abc_smc,
     run_inference,
 )
@@ -63,22 +62,33 @@ def test_settings_validation():
     assert SmcSettings(n_particles=10, alpha=0.5, p_acc_min=1.0).p_acc_min == 1.0
 
 
+def _posterior(weights) -> PosteriorApproximation:
+    """A one-parameter posterior whose particle i sits at theta = i."""
+    n = len(weights)
+    return PosteriorApproximation(
+        thetas=np.arange(n, dtype=float)[:, None],
+        weights=np.asarray(weights, dtype=float),
+        distances=np.zeros(n),
+        tolerances=np.array([1.0]),
+        history=[],
+        n_evaluations=n,
+        simulator_calls=n,
+        generations=1,
+        stopped_by="acceptance-rate",
+        wall_time_s=0.0,
+    )
+
+
 def test_resampling_matches_weight_proportions():
-    rng = np.random.default_rng(1)
     weights = np.array([1.0, 2.0, 3.0])
-    idx = resample_indices(weights, rng, 30000)
+    idx = _posterior(weights).sample_indices(np.random.default_rng(1), 30000)
     freqs = np.bincount(idx, minlength=3) / 30000
     np.testing.assert_allclose(freqs, weights / 6.0, atol=0.02)
-    one = resample_indices(np.array([0.0, 1.0, 0.0]), rng, 1)
+    # Inverse-CDF draws: one uniform per index, against the running weight sum.
+    u = np.random.default_rng(1).random(30000)
+    np.testing.assert_array_equal(idx, np.searchsorted(np.cumsum(weights), u * 6.0, side="right"))
+    one = _posterior([0.0, 1.0, 0.0]).sample_indices(np.random.default_rng(2), 1)
     assert one.tolist() == [1]
-
-
-def test_resampling_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        resample_indices(np.array([1.0, -1.0]), rng, 1)
-    with pytest.raises(ValueError):
-        resample_indices(np.array([0.0, 0.0]), rng, 1)
 
 
 def test_population_validation():
@@ -547,20 +557,8 @@ def test_engine_results_do_not_depend_on_worker_count():
 
 
 def test_posterior_summaries():
-    thetas = np.array([[0.0], [1.0], [2.0]])
     weights = np.array([0.25, 0.5, 0.25])
-    posterior = PosteriorApproximation(
-        thetas=thetas,
-        weights=weights,
-        distances=np.zeros(3),
-        tolerances=np.array([1.0]),
-        history=[],
-        n_evaluations=3,
-        simulator_calls=3,
-        generations=1,
-        stopped_by="acceptance-rate",
-        wall_time_s=0.0,
-    )
+    posterior = _posterior(weights)
     assert posterior.weighted_mean()[0] == pytest.approx(1.0)
     assert posterior.weighted_std()[0] == pytest.approx(math.sqrt(0.5))
     assert posterior.weight_within(0, 1.0, 0.5) == pytest.approx(0.5)
