@@ -33,7 +33,12 @@ counts. ``src_lines`` is the line count of ``src/`` on each side, and
 After the comparisons it runs the Tier-1 suite once in each checkout
 (``python -m pytest -q --continue-on-collection-errors`` with
 ``PYTHONPATH=src``) and records, under ``tier1``, its wall time ``tier1_s``,
-its exit code and its outcome counts. This is a record, not a gate.
+its exit code and its outcome counts. Right after each side's Tier-1 run it
+runs the criterion-7 cell of the acceptance gate in that checkout, one
+process calling ``evaluate.run_cell`` with the arguments of
+``test_criterion_7_walltime_ratio``, and records, under ``criterion_7``,
+each replication's naive/auxiliary wall-time ratio, their mean (the value
+the gate requires above 1) and the lowest. These are records, not gates.
 """
 
 from __future__ import annotations
@@ -149,6 +154,37 @@ def tier1(root: Path) -> dict:
     return {"tier1_s": elapsed, "exit_code": proc.returncode, "counts": counts}
 
 
+#: The criterion-7 cell of tests/test_acceptance.py, printing its ratios.
+CRITERION_7 = """
+import json
+import numpy as np
+from hybridabc.config import build_config
+from hybridabc.evaluate import run_cell
+CFG = build_config()
+KINETICS = np.array([0.057, 3.4, 2.6, 0.005])
+cell = run_cell(
+    CFG.build_model(), CFG.prior, KINETICS, 0.2, 20,
+    CFG.engine, CFG.sim_replicates, 5, CFG.target_t, 2000, CFG.seed,
+)
+print(json.dumps(cell.ratios))
+"""
+
+
+def criterion_7(root: Path) -> dict:
+    """The criterion-7 cell's naive/auxiliary wall-time ratios in ``root``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CRITERION_7], cwd=root, env=env, capture_output=True, text=True
+    )
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip()[-500:], "wall_s": elapsed}
+    ratios = json.loads(proc.stdout.strip().splitlines()[-1])
+    mean, lowest = statistics.fmean(ratios), min(ratios)
+    return {"ratios": ratios, "mean": mean, "lowest": lowest, "wall_s": elapsed}
+
+
 def src_lines(root: Path) -> int:
     return sum(p.read_text().count("\n") for p in sorted((root / "src").rglob("*.py")))
 
@@ -197,7 +233,10 @@ def main(argv=None) -> int:
             for seed in result_seeds
         },
     }
-    result["tier1"] = {"base": tier1(base), "head": tier1(HERE)}
+    result["tier1"], result["criterion_7"] = {}, {}
+    for side, root in (("base", base), ("head", HERE)):
+        result["tier1"][side] = tier1(root)
+        result["criterion_7"][side] = criterion_7(root)
     result["elapsed_s"] = time.time() - started
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     for seed, workloads in result["seeds"].items():
@@ -218,6 +257,11 @@ def main(argv=None) -> int:
             )
     for side, run in result["tier1"].items():
         print(f"tier-1 {side}: {run['tier1_s']:.1f} s, exit {run['exit_code']}, {run['counts']}")
+        cell = result["criterion_7"][side]
+        if "error" in cell:
+            print(f"criterion 7 {side}: failed: {cell['error']}")
+        else:
+            print(f"criterion 7 {side}: mean ratio {cell['mean']:.3f}, lowest {cell['lowest']:.3f}")
     return 0
 
 

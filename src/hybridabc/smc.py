@@ -2,9 +2,10 @@
 
 The engine keeps the best ``alpha`` fraction of particles each generation,
 exactly n_keep = floor(alpha * N) with ties broken by pool order, refills
-the rest by resampling and Gaussian perturbation, importance-weights the
-refills against the retained mixture, and tightens the distance tolerance
-to the ``n_keep``-th smallest pooled distance. It stops once the refill
+the rest by resampling and Gaussian perturbation, and tightens the distance
+tolerance to the ``n_keep``-th smallest pooled distance. Importance weights
+are computed after that selection, only for the refills it keeps, against
+the previous generation's retained mixture. It stops once the refill
 acceptance rate drops to ``p_acc_min`` or below.
 
 The engine is model-agnostic: it sees only a prior and a distance objective
@@ -241,8 +242,9 @@ class GenerationRecord:
     The ``_s`` fields are wall times in seconds of the calling process.
     ``propose_s`` covers the kernel adaptation and the proposals (for
     generation 1, the prior draws), ``evaluate_s`` the distance evaluation,
-    waiting on the pool included, and ``weight_s`` the importance weights
-    and the retention step. ``elapsed_s`` counts from the start of the run.
+    waiting on the pool included, and ``weight_s`` the retention step and
+    the importance weights of the refills it kept, which are computed after
+    selection. ``elapsed_s`` counts from the start of the run.
     """
 
     generation: int
@@ -347,29 +349,27 @@ def compute_weight(
     previous: Population,
     kernel: PerturbationKernel,
     prior: Prior,
-    accepted: np.ndarray,
 ) -> np.ndarray:
-    """Importance weights of refill particles (k, d) against the retained mixture.
+    """Importance weights of kept refill particles (k, d) against the retained mixture.
 
-    A refill that was not ``accepted`` or lies outside the prior weighs 0.
-    The prior and kernel densities are computed for blocks of
+    The engine calls it after selection, for the refills a generation keeps,
+    each already within the previous tolerance. A refill outside the prior
+    weighs 0. The prior and kernel densities are computed for blocks of
     ``_WEIGHT_BLOCK`` refills, and each refill's mixture is its own dot
     product, so every weight is the one a block of its particle alone gets.
     """
     weights = np.zeros(len(thetas))
     mix = previous.normalized_weights()
-    live = np.flatnonzero(accepted)
-    for start in range(0, live.size, _WEIGHT_BLOCK):
-        rows = live[start : start + _WEIGHT_BLOCK]
-        block = thetas[rows]
-        per_row = zip(rows, prior.density(block), kernel.densities(block, previous.thetas))
-        for j, numerator, densities in per_row:
+    for start in range(0, len(thetas), _WEIGHT_BLOCK):
+        block = thetas[start : start + _WEIGHT_BLOCK]
+        per_row = zip(prior.density(block), kernel.densities(block, previous.thetas))
+        for j, (numerator, densities) in enumerate(per_row, start):
             mixture = mix @ densities
             if numerator == 0.0 or np.isinf(mixture):
                 continue
             if mixture <= 0.0:
                 raise RuntimeError(
-                    "mixture kernel density underflowed for an accepted particle; "
+                    "mixture kernel density underflowed for a kept refill particle; "
                     "the move kernel is too narrow for the population spread"
                 )
             weights[j] = numerator / mixture
@@ -453,6 +453,11 @@ def run_abc_smc(
 ) -> PosteriorApproximation:
     """Run the full adaptive ABC-SMC loop.
 
+    Each generation keeps the ``n_keep`` smallest distances of its pool,
+    ties by pool order, and only then weighs the kept refills with
+    ``compute_weight``; generation 1 keeps unit weights. A refill that the
+    selection drops is never weighed, so it cannot stop the run.
+
     Parameters
     ----------
     prior : Prior
@@ -501,88 +506,75 @@ def run_abc_smc(
         executor = pool if pool is not None else open_pool(workers)
         payload = pickle.dumps(objective)
     history = []
-
-    def retain(thetas, weights, replicates, generation, p_acc, prior_rejections, clock):
-        """Keep the pool's ``n_keep`` particles of smallest distance, in pool order.
-
-        A particle's distance is its smallest replicate, and ties are broken
-        by pool order. The new tolerance is the ``n_keep``-th smallest
-        distance. ``clock`` holds the times the generation's proposals
-        started, its evaluation started and its weighting started.
-        """
-        distances = replicates.min(axis=1)
-        if not np.isfinite(distances).all():
-            raise ValueError("distances must be finite")
-        best = np.argsort(distances, kind="stable")[:n_keep]
-        tol = float(distances[best[-1]])
-        keep = np.zeros(len(distances), dtype=bool)
-        keep[best] = True
-        population = Population(thetas[keep], weights[keep], replicates[keep], tol, generation)
-        n_evaluations = N + (generation - 1) * n_new
-        now = time.perf_counter()
-        record = GenerationRecord(
-            generation=generation,
-            tolerance=tol,
-            p_acc=p_acc,
-            prior_rejections=prior_rejections,
-            n_retained=len(population),
-            n_distinct=population.n_distinct,
-            ess=population.ess,
-            n_evaluations=n_evaluations,
-            simulator_calls=n_evaluations * calls_per_eval,
-            propose_s=clock[1] - clock[0],
-            evaluate_s=clock[2] - clock[1],
-            weight_s=now - clock[2],
-            elapsed_s=now - t0,
-        )
-        history.append(record)
-        if progress is not None:
-            progress(record)
-        return population
-
+    population = None
+    stopped_by = "acceptance-rate"
     try:
-        clock = [time.perf_counter()]
-        slots = np.arange(N)
-        thetas = np.array([prior.sample(rng) for rng in substream(seed, STREAM_PROPOSAL, 0, slots)])
-        clock.append(time.perf_counter())
-        replicates = _evaluate(objective, payload, seed, 0, slots, thetas, executor, workers)
-        clock.append(time.perf_counter())
-        population = retain(thetas, np.ones(N), replicates, 1, 1.0, 0, clock)
+        for generation in range(settings.max_generations):
+            started = time.perf_counter()
+            if population is None:
+                slots = np.arange(N)
+                rngs = substream(seed, STREAM_PROPOSAL, 0, slots)
+                fresh = np.array([prior.sample(rng) for rng in rngs])
+                p_acc, prior_rejections = 1.0, 0
+            else:
+                kernel = adapt_kernel(population)
+                slots = np.arange(n_keep, N)
+                rngs = substream(seed, STREAM_PROPOSAL, generation, slots)
+                fresh, prior_rejections = _propose(population, kernel, prior, rngs)
+            proposed = time.perf_counter()
+            fresh_reps = _evaluate(
+                objective, payload, seed, generation, slots, fresh, executor, workers
+            )
+            evaluated = time.perf_counter()
 
-        stopped_by = "acceptance-rate"
-        while history[-1].p_acc > settings.p_acc_min:
-            generation = population.generation
-            if generation >= settings.max_generations:
-                stopped_by = "max-generations"
+            thetas, replicates = fresh, fresh_reps
+            if population is not None:
+                p_acc = float((fresh_reps.min(axis=1) <= population.tolerance).mean())
+                thetas = np.vstack([population.thetas, fresh])
+                replicates = np.vstack([population.replicates, fresh_reps])
+            distances = replicates.min(axis=1)
+            if not np.isfinite(distances).all():
+                raise ValueError("distances must be finite")
+            best = np.argsort(distances, kind="stable")[:n_keep]
+            keep = np.sort(best)
+            weights = np.ones(n_keep)
+            if population is not None:
+                old = keep < n_keep
+                weights[old] = population.weights[keep[old]]
+                weights[~old] = compute_weight(thetas[keep[~old]], population, kernel, prior)
+                if not old.all() and not (weights[~old] > 0.0).any():
+                    raise RuntimeError(
+                        "every kept refill particle received zero weight; "
+                        "prior and move kernel are inconsistent"
+                    )
+            population = Population(
+                thetas[keep], weights, replicates[keep], float(distances[best[-1]]), generation + 1
+            )
+
+            n_evaluations = N + generation * n_new
+            now = time.perf_counter()
+            record = GenerationRecord(
+                generation=population.generation,
+                tolerance=population.tolerance,
+                p_acc=p_acc,
+                prior_rejections=prior_rejections,
+                n_retained=len(population),
+                n_distinct=population.n_distinct,
+                ess=population.ess,
+                n_evaluations=n_evaluations,
+                simulator_calls=n_evaluations * calls_per_eval,
+                propose_s=proposed - started,
+                evaluate_s=evaluated - proposed,
+                weight_s=now - evaluated,
+                elapsed_s=now - t0,
+            )
+            history.append(record)
+            if progress is not None:
+                progress(record)
+            if p_acc <= settings.p_acc_min:
                 break
-            clock = [time.perf_counter()]
-            kernel = adapt_kernel(population)
-            slots = np.arange(n_keep, N)
-            rngs = substream(seed, STREAM_PROPOSAL, generation, slots)
-            new_thetas, prior_rejections = _propose(population, kernel, prior, rngs)
-            clock.append(time.perf_counter())
-            new_reps = _evaluate(
-                objective, payload, seed, generation, slots, new_thetas, executor, workers
-            )
-            clock.append(time.perf_counter())
-
-            accepted = new_reps.min(axis=1) <= population.tolerance
-            new_w = compute_weight(new_thetas, population, kernel, prior, accepted)
-            p_acc = float(accepted.mean())
-            if p_acc > 0.0 and not (new_w > 0.0).any():
-                raise RuntimeError(
-                    "every refill particle received zero weight despite accepted "
-                    "distances; prior and move kernel are inconsistent"
-                )
-            population = retain(
-                np.vstack([population.thetas, new_thetas]),
-                np.concatenate([population.weights, new_w]),
-                np.vstack([population.replicates, new_reps]),
-                generation + 1,
-                p_acc,
-                prior_rejections,
-                clock,
-            )
+        else:
+            stopped_by = "max-generations"
     finally:
         if executor is not None and executor is not pool:
             executor.shutdown()

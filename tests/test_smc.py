@@ -341,13 +341,12 @@ def test_compute_weight_hand_case():
         generation=1,
     )
     kernel = PerturbationKernel(covariance=np.array([[0.01]]))
-    thetas = np.array([[0.3], [0.3], [2.0]])
+    thetas = np.array([[0.3], [2.0]])
     mixture = 0.25 * _norm_pdf(0.3, 0.2, 0.01) + 0.75 * _norm_pdf(0.3, 0.4, 0.01)
-    got = compute_weight(thetas, pop, kernel, prior, np.array([True, False, True]))
-    assert got.shape == (3,)
+    got = compute_weight(thetas, pop, kernel, prior)
+    assert got.shape == (2,)
     assert got[0] == pytest.approx(1.0 / mixture, rel=1e-12)
-    assert got[1] == 0.0  # not accepted
-    assert got[2] == 0.0  # outside the prior
+    assert got[1] == 0.0  # outside the prior
 
 
 def test_compute_weight_degenerate_and_underflow():
@@ -360,15 +359,15 @@ def test_compute_weight_degenerate_and_underflow():
         generation=1,
     )
     spike = PerturbationKernel(covariance=np.array([[0.0]]))
-    assert compute_weight(np.array([[0.2]]), pop, spike, prior, np.array([True]))[0] == 0.0
+    assert compute_weight(np.array([[0.2]]), pop, spike, prior)[0] == 0.0
     narrow = PerturbationKernel(covariance=np.array([[1e-30]]))
     with pytest.raises(RuntimeError):
-        compute_weight(np.array([[0.9]]), pop, narrow, prior, np.array([True]))
+        compute_weight(np.array([[0.9]]), pop, narrow, prior)
 
 
-def _one_weight(theta, previous, kernel, prior, accepted):
+def _one_weight(theta, previous, kernel, prior):
     """The importance weight of one refill, computed on its own."""
-    numerator = prior.density(theta[None])[0] if accepted else 0.0
+    numerator = prior.density(theta[None])[0]
     if numerator == 0.0:
         return 0.0
     diff = previous.thetas - theta
@@ -400,9 +399,8 @@ def test_blocked_compute_weight_matches_one_particle_at_a_time(n_refills):
     moves = rng.normal(0.0, 0.05, (n_refills, 6)) * width
     thetas = centers[rng.integers(0, 37, n_refills)] + moves
     thetas[::4] = PRIOR.highs + 1.0  # outside the prior: zero numerator
-    accepted = np.arange(n_refills) % 3 != 2  # not accepted: zero numerator
-    got = compute_weight(thetas, pop, kernel, PRIOR, accepted)
-    want = [_one_weight(t, pop, kernel, PRIOR, a) for t, a in zip(thetas, accepted)]
+    got = compute_weight(thetas, pop, kernel, PRIOR)
+    want = [_one_weight(t, pop, kernel, PRIOR) for t in thetas]
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert (got > 0.0).any() and (got == 0.0).any()
 
@@ -415,17 +413,16 @@ def test_blocked_compute_weight_with_a_singular_kernel():
     assert kernel._chol is None
     # On a center the mixture density is infinite and the weight 0.
     thetas = np.repeat(centers, 7, axis=0)
-    accepted = np.ones(len(thetas), dtype=bool)
-    got = compute_weight(thetas, pop, kernel, prior, accepted)
-    want = [_one_weight(t, pop, kernel, prior, True) for t in thetas]
+    got = compute_weight(thetas, pop, kernel, prior)
+    want = [_one_weight(t, pop, kernel, prior) for t in thetas]
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert not got.any()
     # Off every center it is 0 and both forms raise.
     off = np.vstack([thetas, [[0.3, 0.5]]])
     with pytest.raises(RuntimeError):
-        _one_weight(off[-1], pop, kernel, prior, True)
+        _one_weight(off[-1], pop, kernel, prior)
     with pytest.raises(RuntimeError, match="underflowed"):
-        compute_weight(off, pop, kernel, prior, np.ones(len(off), dtype=bool))
+        compute_weight(off, pop, kernel, prior)
 
 
 def _toy_settings(**overrides):
@@ -480,6 +477,42 @@ def test_engine_refuses_non_finite_distances(bad):
 
     with pytest.raises(ValueError, match="distances must be finite"):
         run_abc_smc(TOY_PRIOR, objective, _toy_settings(n_particles=20), seed=3)
+
+
+def test_engine_weighs_only_the_kept_refills(monkeypatch):
+    populations, weighed = [], []
+
+    class RecordedPopulation(Population):
+        def __post_init__(self):
+            super().__post_init__()
+            populations.append(self)
+
+    def recorded_weight(thetas, previous, kernel, prior):
+        weights = compute_weight(thetas, previous, kernel, prior)
+        weighed.append((previous, thetas.copy(), weights))
+        return weights
+
+    monkeypatch.setattr(smc_mod, "Population", RecordedPopulation)
+    monkeypatch.setattr(smc_mod, "compute_weight", recorded_weight)
+    posterior = run_abc_smc(TOY_PRIOR, TOY, _toy_settings(), seed=6)
+    assert len(populations) == posterior.generations == len(weighed) + 1
+    # Generation 1 weighs nothing and keeps unit weights.
+    np.testing.assert_array_equal(populations[0].weights, 1.0)
+    for (previous, thetas, weights), before, after in zip(weighed, populations, populations[1:]):
+        assert previous is before
+        # Kept rows in pool order: survivors of the previous generation,
+        # then the kept refills, which are exactly the rows weighed.
+        old_rows = {row.tobytes() for row in before.thetas}
+        survived = np.array([row.tobytes() in old_rows for row in after.thetas])
+        n_old = int(survived.sum())
+        assert survived[:n_old].all()
+        np.testing.assert_array_equal(_bits(thetas), _bits(after.thetas[n_old:]))
+        np.testing.assert_array_equal(_bits(weights), _bits(after.weights[n_old:]))
+    # Refills accepted within the previous tolerance but not kept are not weighed.
+    refills = posterior.history[0].n_retained  # alpha = 1/2: as many refills as kept
+    accepted = [round(r.p_acc * refills) for r in posterior.history[1:]]
+    assert all(len(t) <= a for (_, t, _), a in zip(weighed, accepted))
+    assert sum(len(t) for _, t, _ in weighed) < sum(accepted)
 
 
 def test_engine_histories_and_counters():
