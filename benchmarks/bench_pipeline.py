@@ -38,7 +38,9 @@ runs the criterion-7 cell of the acceptance gate in that checkout, one
 process calling ``evaluate.run_cell`` with the arguments of
 ``test_criterion_7_walltime_ratio``, and records, under ``criterion_7``,
 each replication's naive/auxiliary wall-time ratio, their mean (the value
-the gate requires above 1) and the lowest. These are records, not gates.
+the gate requires above 1), the lowest and, under ``runtime_s``, each
+route's engine seconds summed over the replications, so that a speed-up
+both routes share shows beside the ratios. These are records, not gates.
 """
 
 from __future__ import annotations
@@ -154,7 +156,8 @@ def tier1(root: Path) -> dict:
     return {"tier1_s": elapsed, "exit_code": proc.returncode, "counts": counts}
 
 
-#: The criterion-7 cell of tests/test_acceptance.py, printing its ratios.
+#: The criterion-7 cell of tests/test_acceptance.py, printing its ratios and
+#: each route's summed engine seconds.
 CRITERION_7 = """
 import json
 import numpy as np
@@ -166,12 +169,13 @@ cell = run_cell(
     CFG.build_model(), CFG.prior, KINETICS, 0.2, 20,
     CFG.engine, CFG.sim_replicates, 5, CFG.target_t, 2000, CFG.seed,
 )
-print(json.dumps(cell.ratios))
+runtime_s = {m: sum(r.runtime_s for r in cell.method_records(m)) for m in ("auxiliary", "naive")}
+print(json.dumps({"ratios": cell.ratios, "runtime_s": runtime_s}))
 """
 
 
 def criterion_7(root: Path) -> dict:
-    """The criterion-7 cell's naive/auxiliary wall-time ratios in ``root``."""
+    """The criterion-7 cell's naive/auxiliary wall-time ratios and route seconds in ``root``."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
     start = time.perf_counter()
     proc = subprocess.run(
@@ -180,9 +184,10 @@ def criterion_7(root: Path) -> dict:
     elapsed = time.perf_counter() - start
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-500:], "wall_s": elapsed}
-    ratios = json.loads(proc.stdout.strip().splitlines()[-1])
+    cell = json.loads(proc.stdout.strip().splitlines()[-1])
+    ratios = cell["ratios"]
     mean, lowest = statistics.fmean(ratios), min(ratios)
-    return {"ratios": ratios, "mean": mean, "lowest": lowest, "wall_s": elapsed}
+    return dict(cell, mean=mean, lowest=lowest, wall_s=elapsed)
 
 
 def src_lines(root: Path) -> int:
@@ -261,7 +266,11 @@ def main(argv=None) -> int:
         if "error" in cell:
             print(f"criterion 7 {side}: failed: {cell['error']}")
         else:
-            print(f"criterion 7 {side}: mean ratio {cell['mean']:.3f}, lowest {cell['lowest']:.3f}")
+            seconds = ", ".join(f"{m} {t:.2f} s" for m, t in cell["runtime_s"].items())
+            print(
+                f"criterion 7 {side}: mean ratio {cell['mean']:.3f}, "
+                f"lowest {cell['lowest']:.3f}; engine time {seconds}"
+            )
     return 0
 
 

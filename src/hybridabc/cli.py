@@ -13,7 +13,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,7 +20,13 @@ from . import evaluate, io
 from ._version import __version__
 from .config import PRESETS, ConfigError, ExperimentConfig, load_config
 from .rng import STREAM_OBSERVED, substream
-from .smc import OBJECTIVES, run_inference
+from .smc import OBJECTIVES, run_inference, usable_cpus
+
+
+WORKERS_HELP = (
+    "evaluation processes (default: the CPUs this process may use); given two CPUs per "
+    "worker, each uses up to two, drawing shocks on a second thread"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,11 +60,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="distance to use (default: engine.distance from the config)",
     )
-    infer.add_argument("--workers", type=int, default=None, help="evaluation processes")
+    infer.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     infer.set_defaults(func=cmd_infer)
 
     exp = sub.add_parser("experiment", parents=[common], help="run the configured comparison grid")
-    exp.add_argument("--workers", type=int, default=None, help="evaluation processes")
+    exp.add_argument("--workers", type=int, default=None, help=WORKERS_HELP)
     exp.set_defaults(func=cmd_experiment)
 
     val = sub.add_parser("validate-config", parents=[common], help="check a config file and exit")
@@ -96,9 +101,7 @@ def _workers(args) -> int:
         if args.workers < 1:
             raise ValueError("--workers must be at least 1")
         return args.workers
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _say(args, message: str) -> None:

@@ -10,6 +10,7 @@ inference engine stays model-agnostic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,14 +153,32 @@ class ErythroblastModel:
         size = self.horizon * 2 * n
         return np.empty(size), np.empty(size), np.empty(size + 2 * n)
 
-    def simulate_paths(self, theta, n: int, rng, workspace=None) -> np.ndarray:
+    def draw_normals(self, rngs, n: int, out=None) -> np.ndarray:
+        """The standard normals of ``n`` paths per stream, (len(rngs) * n, horizon, 2).
+
+        Stream i fills rows i * n to (i + 1) * n, in the order
+        ``simulate_paths`` reads them, so stepping from these normals gives
+        the states that stepping from the streams gives. They go to the
+        start of the flat buffer ``out`` when one is given, as the first
+        buffer of ``self.workspace``.
+        """
+        shape = (len(rngs) * n, self.horizon, 2)
+        normals = np.empty(shape) if out is None else out[: math.prod(shape)].reshape(shape)
+        for i, rng in enumerate(rngs):
+            rng.standard_normal((n, self.horizon, 2), out=normals[i * n : (i + 1) * n])
+        return normals
+
+    def simulate_paths(self, theta, n: int, rng, workspace=None, normals=None) -> np.ndarray:
         """Simulate ``n`` full paths under each parameter vector.
 
         ``theta`` is one vector (6,) drawn from the stream ``rng``, or k rows
         (k, 6) with a sequence of k streams, each a numpy ``Generator``:
         stream i draws the n paths of row i, exactly as a call with that
         row alone would, into rows i * n to (i + 1) * n of the result, and
-        one kernel call steps all k * n paths. Returns states of shape (k * n, horizon + 1, 2) with
+        one kernel call steps all k * n paths. Given ``normals``, the
+        (k * n, horizon, 2) array ``draw_normals`` draws from those
+        streams, the call steps from them and reads no stream. Returns
+        states of shape (k * n, horizon + 1, 2) with
         columns (rho, I): a fresh C-contiguous array, or, given a
         ``workspace`` from ``self.workspace(size)`` with size >= k * n, a
         view of its start that the next call overwrites. Reusing one
@@ -172,43 +191,45 @@ class ErythroblastModel:
         would raise it.
         """
         theta = self._check_theta(theta)
+        rows = len(theta) if theta.ndim == 2 else 1
         if theta.ndim == 2:
-            rngs = list(rng)
-            if len(rngs) != len(theta):
-                raise ValueError(f"{len(theta)} parameter rows, {len(rngs)} streams")
             theta = np.repeat(theta.T, n, axis=1)
-        else:
-            rngs = [rng]
-        out = self._simulate(theta, rngs, n, workspace or self.workspace(len(rngs) * n))
-        return out if workspace else np.ascontiguousarray(out)
+        fresh = workspace is None
+        workspace = self.workspace(rows * n) if fresh else workspace
+        capacity = workspace[2].size // (2 * (self.horizon + 1))
+        if rows * n > capacity:
+            raise ValueError(f"the workspace holds {capacity} paths, fewer than {rows * n}")
+        if normals is None:
+            rngs = list(rng) if theta.ndim == 2 else [rng]
+            if len(rngs) != rows:
+                raise ValueError(f"{rows} parameter rows, {len(rngs)} streams")
+            normals = self.draw_normals(rngs, n, workspace[0])
+        out = self._simulate(theta, normals, n, workspace)
+        return np.ascontiguousarray(out) if fresh else out
 
     def simulate_paths_multi(self, thetas, rng) -> np.ndarray:
         """Simulate one full path per row of ``thetas`` (shape (n, 6))."""
         thetas = np.atleast_2d(self._check_theta(thetas))
-        return self._simulate(thetas.T, [rng], len(thetas), self.workspace(len(thetas)))
+        workspace = self.workspace(len(thetas))
+        normals = self.draw_normals([rng], len(thetas), workspace[0])
+        return self._simulate(thetas.T, normals, len(thetas), workspace)
 
-    def _simulate(self, per_param, rngs, n: int, workspace) -> np.ndarray:
-        """States of ``len(rngs) * n`` paths, as (paths, horizon + 1, 2).
+    def _simulate(self, per_param, normals, n: int, workspace) -> np.ndarray:
+        """States of the paths whose standard normals are ``normals``, as (paths, horizon + 1, 2).
 
         ``per_param`` holds the parameters in rows, (6,) shared by every
-        path or (6, paths) one column per path; stream i draws the shocks
-        of paths i * n to (i + 1) * n. Raises SimulationError for the first
-        stream's paths with a non-finite state, at their earliest bad step.
+        path or (6, paths) one column per path. Raises SimulationError for
+        the first group of ``n`` paths with a non-finite state, at their
+        earliest bad step.
         """
         H = self.horizon
-        paths = len(rngs) * n
-        capacity = workspace[2].size // (2 * (H + 1))
-        if paths > capacity:
-            raise ValueError(f"the workspace holds {capacity} paths, fewer than {paths}")
-        draws = workspace[0][: paths * H * 2].reshape(paths, H, 2)
+        paths = len(normals)
         shocks = workspace[1][: H * 2 * paths].reshape(H, 2, paths)
         states = workspace[2][: (H + 1) * 2 * paths].reshape(H + 1, 2, paths)
-        for i, rng in enumerate(rngs):
-            rng.standard_normal((n, H, 2), out=draws[i * n : (i + 1) * n])
         per_param = np.ascontiguousarray(per_param)
         # Scaling after the step-major transpose runs each multiply along a
         # whole row of paths instead of over the two shock channels.
-        np.multiply(draws.transpose(1, 2, 0), per_param[4:6].reshape(2, -1), out=shocks)
+        np.multiply(normals.transpose(1, 2, 0), per_param[4:6].reshape(2, -1), out=shocks)
         out = kernels.simulate_paths_raw(
             *per_param[:4],
             self.dt,

@@ -28,7 +28,10 @@ single simulated dataset while each proposal uses all L of them.
 from __future__ import annotations
 
 import math
+import os
 import pickle
+import queue
+import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -237,7 +240,11 @@ class GenerationRecord:
     proposals that landed outside the prior; generation 1 draws from the
     prior and counts 0. ``ess`` is the Kish effective sample size of the
     retained particles' weights, and ``n_distinct`` the number of distinct
-    parameter rows among the retained particles.
+    parameter rows among the retained particles. ``kernel_trace`` is the
+    trace of the move kernel's covariance, 0.0 in generation 1, and
+    ``distance_p50`` and ``distance_p90`` are the median and 90th
+    percentile of the distances of the generation's freshly evaluated
+    particles, each its smallest replicate.
 
     The ``_s`` fields are wall times in seconds of the calling process.
     ``propose_s`` covers the kernel adaptation and the proposals (for
@@ -254,6 +261,9 @@ class GenerationRecord:
     n_retained: int
     n_distinct: int
     ess: float
+    kernel_trace: float
+    distance_p50: float
+    distance_p90: float
     n_evaluations: int
     simulator_calls: int
     propose_s: float
@@ -265,6 +275,19 @@ class GenerationRecord:
 def _draw_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Indices picked by uniforms ``u`` under the weights whose running sum is ``cum``."""
     return np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), cum.size - 1)
+
+
+def _quantiles(values: np.ndarray, qs) -> np.ndarray:
+    """Quantiles of ``values`` by linear interpolation, numpy's default method.
+
+    ``np.quantile`` would import ``numpy.ma`` on its first call, which adds
+    about 1.6 MiB to a run's peak memory.
+    """
+    ordered = np.sort(values)
+    at = (len(ordered) - 1) * np.asarray(qs)
+    below = np.floor(at).astype(int)
+    above = np.minimum(below + 1, len(ordered) - 1)
+    return ordered[below] + (at - below) * (ordered[above] - ordered[below])
 
 
 def adapt_kernel(population: Population) -> PerturbationKernel:
@@ -394,6 +417,13 @@ def _evaluate_chunk(objective, seed, generation, slots, thetas):
     return np.stack([np.atleast_1d(objective(theta, rng)) for theta, rng in zip(thetas, rngs)])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
 def open_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool of ``workers`` workers, which ``run_abc_smc`` runs can share.
 
@@ -482,6 +512,9 @@ def run_abc_smc(
         Master seed; the run is a pure function of it.
     workers : int
         Process count for distance evaluation. Results do not depend on it.
+        When ``usable_cpus()`` is at least ``2 * workers``, the package's
+        objectives draw ahead (``_PathObjective.draw_ahead``): each process
+        evaluating them uses up to two CPUs.
     progress : callable(GenerationRecord), optional
     pool : ProcessPoolExecutor, optional
         An open pool from ``open_pool(workers)`` to evaluate on when
@@ -501,6 +534,8 @@ def run_abc_smc(
     N, n_keep = settings.n_particles, settings.n_keep
     n_new = N - n_keep
     calls_per_eval = int(getattr(objective, "calls_per_evaluation", 1))
+    if isinstance(objective, _PathObjective):
+        objective.draw_ahead = usable_cpus() >= 2 * workers
     executor, payload = None, None
     if workers > 1:
         executor = pool if pool is not None else open_pool(workers)
@@ -515,9 +550,10 @@ def run_abc_smc(
                 slots = np.arange(N)
                 rngs = substream(seed, STREAM_PROPOSAL, 0, slots)
                 fresh = np.array([prior.sample(rng) for rng in rngs])
-                p_acc, prior_rejections = 1.0, 0
+                p_acc, prior_rejections, kernel_trace = 1.0, 0, 0.0
             else:
                 kernel = adapt_kernel(population)
+                kernel_trace = float(np.trace(kernel.covariance))
                 slots = np.arange(n_keep, N)
                 rngs = substream(seed, STREAM_PROPOSAL, generation, slots)
                 fresh, prior_rejections = _propose(population, kernel, prior, rngs)
@@ -535,6 +571,7 @@ def run_abc_smc(
             distances = replicates.min(axis=1)
             if not np.isfinite(distances).all():
                 raise ValueError("distances must be finite")
+            fresh_p50, fresh_p90 = _quantiles(distances[-len(fresh) :], (0.5, 0.9))
             best = np.argsort(distances, kind="stable")[:n_keep]
             keep = np.sort(best)
             weights = np.ones(n_keep)
@@ -561,6 +598,9 @@ def run_abc_smc(
                 n_retained=len(population),
                 n_distinct=population.n_distinct,
                 ess=population.ess,
+                kernel_trace=kernel_trace,
+                distance_p50=float(fresh_p50),
+                distance_p90=float(fresh_p90),
                 n_evaluations=n_evaluations,
                 simulator_calls=n_evaluations * calls_per_eval,
                 propose_s=proposed - started,
@@ -599,6 +639,50 @@ def run_abc_smc(
 PATHS_PER_BLOCK = 1200
 
 
+class _DrawAhead:
+    """A helper thread that draws a chunk's normals one block ahead of its caller.
+
+    ``blocks`` are the chunk's slot slices. The caller draws block 0 itself,
+    into ``buffers[0]``; the helper draws block b = 1, 2, ... into
+    ``buffers[b % 2]`` with the model's ``draw_normals``, and calls nothing
+    else. It refills a buffer only after the caller has ``release``d the
+    block that stepped from it, two blocks back. ``take`` waits for the next block's
+    normals and raises what drawing them raised; ``close`` stops the helper
+    and joins it.
+    """
+
+    def __init__(self, model, rngs, blocks, n: int, buffers):
+        self._free = threading.Semaphore(1)
+        self._ready = queue.SimpleQueue()
+        self._stop = False
+        self._thread = threading.Thread(target=self._draw, args=(model, rngs, blocks, n, buffers))
+        self._thread.start()
+
+    def _draw(self, model, rngs, blocks, n, buffers):
+        try:
+            for b in range(1, len(blocks)):
+                self._free.acquire()
+                if self._stop:
+                    return
+                self._ready.put(model.draw_normals(rngs[blocks[b]], n, buffers[b % 2]))
+        except BaseException as exc:  # noqa: BLE001 - handed to the caller by take
+            self._ready.put(exc)
+
+    def take(self) -> np.ndarray:
+        normals = self._ready.get()
+        if isinstance(normals, BaseException):
+            raise normals
+        return normals
+
+    def release(self) -> None:
+        self._free.release()
+
+    def close(self) -> None:
+        self._stop = True
+        self._free.release()
+        self._thread.join()
+
+
 class _PathObjective:
     """Simulation shared by the objectives: ``n_paths`` paths per slot.
 
@@ -608,11 +692,16 @@ class _PathObjective:
     ``simulate_paths`` call each, and each block is scored in one pass
     that gives every slot the bits a chunk of that slot alone gives it.
 
+    With ``draw_ahead`` set, which ``run_abc_smc`` does when the process
+    may use two CPUs per worker, a helper thread that lives for one call draws block
+    b + 1's normals while the calling thread steps and scores block b;
+    every slot still reads its own stream, so the scores keep their bits.
+
     Each copy of the objective simulates in one block-sized workspace of its
     own, made on first use and reused from block to block; a short last
-    block uses its start. Scratch buffers are left out of pickles. A pool
-    worker unpickles a run's objective once, so it keeps one workspace for
-    the whole run.
+    block uses its start. Drawing ahead adds one block-sized normals buffer.
+    Scratch buffers are left out of pickles. A pool worker unpickles a
+    run's objective once, so it keeps one workspace for the whole run.
     """
 
     def __init__(self, model, observed: Dataset, sim_replicates: int):
@@ -621,22 +710,36 @@ class _PathObjective:
         self.model = model
         self.n_paths = self.calls_per_evaluation = len(observed) * sim_replicates
         self.slots_per_block = max(1, PATHS_PER_BLOCK // self.n_paths)
-        self._workspace = None
+        self.draw_ahead = False
+        self._workspace = self._ahead = None
 
     def __call__(self, thetas, rngs) -> np.ndarray:
         if self._workspace is None:
             self._workspace = self.model.workspace(self.slots_per_block * self.n_paths)
         n, block = self.n_paths, self.slots_per_block
+        blocks = [slice(start, start + block) for start in range(0, len(thetas), block)]
+        helper = None
+        if self.draw_ahead and len(blocks) > 1:
+            if self._ahead is None:
+                self._ahead = np.empty_like(self._workspace[0])
+            helper = _DrawAhead(self.model, rngs, blocks, n, (self._workspace[0], self._ahead))
         scores = []
-        for start in range(0, len(thetas), block):
-            states = self.model.simulate_paths(
-                thetas[start : start + block], n, rngs[start : start + block], self._workspace
-            )
-            scores.append(self._score(states))
+        try:
+            for b, rows in enumerate(blocks):
+                normals = helper.take() if helper and b else None
+                states = self.model.simulate_paths(
+                    thetas[rows], n, rngs[rows], self._workspace, normals
+                )
+                if helper:
+                    helper.release()
+                scores.append(self._score(states))
+        finally:
+            if helper:
+                helper.close()
         return np.concatenate(scores)
 
     def __getstate__(self):
-        return dict(self.__dict__, _workspace=None)
+        return dict(self.__dict__, _workspace=None, _ahead=None)
 
 
 class AuxiliaryObjective(_PathObjective):

@@ -476,6 +476,9 @@ def test_progress_line_is_the_labels_then_the_rounded_record_fields(capsys):
         n_retained=12,
         n_distinct=11,
         ess=9.87654321,
+        kernel_trace=0.0123456789,
+        distance_p50=0.2345678,
+        distance_p90=0.3456789,
         n_evaluations=48,
         simulator_calls=288,
         propose_s=0.0123456,

@@ -112,6 +112,33 @@ def test_parameter_rows_with_their_own_streams_match_one_row_calls(n):
         model.simulate_paths(thetas, n, streams()[:4])
 
 
+@pytest.mark.parametrize("rows", [1, 5])
+def test_stepping_from_drawn_normals_matches_stepping_from_the_streams(rows):
+    # draw_normals gives stream i's (n, H, 2) draws in rows i * n to
+    # (i + 1) * n, into the start of a flat buffer when given one, and
+    # simulate_paths steps from them to the states it steps to from the
+    # streams, reading no stream.
+    model = ErythroblastModel()
+    n = 40
+    thetas = np.random.default_rng(rows).uniform(PRIOR.lows, PRIOR.highs, (rows, 6))
+    streams = lambda: [rng_mod.substream(3, slot) for slot in range(rows)]
+    normals = model.draw_normals(streams(), n)
+    expected = np.concatenate([rng.standard_normal((n, 10, 2)) for rng in streams()])
+    assert normals.shape == (rows * n, 10, 2)
+    np.testing.assert_array_equal(normals.view(np.int64), expected.view(np.int64))
+    buffer = np.full(model.workspace(6 * n)[0].size, np.nan)
+    into = model.draw_normals(streams(), n, buffer)
+    assert np.shares_memory(into, buffer) and into.ctypes.data == buffer.ctypes.data
+    np.testing.assert_array_equal(into, normals)
+    theta, rng = (thetas, streams()) if rows > 1 else (thetas[0], streams()[0])
+    from_streams = model.simulate_paths(theta, n, rng)
+    from_normals = model.simulate_paths(theta, n, None, None, normals)
+    reused = model.simulate_paths(theta, n, None, model.workspace(6 * n), into)
+    assert from_normals.flags.c_contiguous
+    np.testing.assert_array_equal(from_normals.view(np.int64), from_streams.view(np.int64))
+    np.testing.assert_array_equal(reused.view(np.int64), from_streams.view(np.int64))
+
+
 def test_inhibitor_integrates_density_increments_without_decay():
     theta = np.array([0.12, 3.0, 2.0, 0.0, 0.0, 0.0])
     model = ErythroblastModel()

@@ -1,5 +1,6 @@
 import math
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -551,6 +552,33 @@ def test_engine_histories_and_counters():
     assert posterior.weighted_mean()[0] == pytest.approx(1.2, abs=0.4)
 
 
+def test_generation_records_report_the_kernel_trace_and_fresh_distance_quantiles(monkeypatch):
+    kernels, fresh = [], []
+
+    def recorded_kernel(population):
+        kernels.append(adapt_kernel(population))
+        return kernels[-1]
+
+    def recorded_evaluate(*args):
+        fresh.append(evaluate(*args).min(axis=1))
+        return fresh[-1][:, None]
+
+    evaluate = smc_mod._evaluate
+    monkeypatch.setattr(smc_mod, "adapt_kernel", recorded_kernel)
+    monkeypatch.setattr(smc_mod, "_evaluate", recorded_evaluate)
+    records = run_abc_smc(TOY_PRIOR, TOY, _toy_settings(), seed=6).history
+    assert len(records) == len(fresh) == len(kernels) + 1
+    assert records[0].kernel_trace == 0.0
+    for record, kernel in zip(records[1:], kernels):
+        assert record.kernel_trace == np.trace(kernel.covariance) > 0.0
+    for record, distances in zip(records, fresh):
+        assert len(distances) == (120 if record.generation == 1 else 60)
+        p50, p90 = np.quantile(distances, [0.5, 0.9])
+        assert record.distance_p50 == pytest.approx(p50, rel=1e-15)
+        assert record.distance_p90 == pytest.approx(p90, rel=1e-15)
+        assert record.distance_p50 <= record.distance_p90
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_generation_records_time_each_phase_within_the_generation(workers):
     posterior = run_abc_smc(TOY_PRIOR, TOY, _toy_settings(), seed=6, workers=workers)
@@ -728,6 +756,137 @@ def test_objective_raises_a_later_slots_simulation_error_as_that_slot_alone(meth
         objective(thetas, rngs)
     assert alone.value.path_index < 60
     assert (err.value.path_index, err.value.step) == (alone.value.path_index, alone.value.step)
+
+
+class _CountedDrawAhead(smc_mod._DrawAhead):
+    """The objectives' helper thread, counting how many start."""
+
+    started = 0
+
+    def __init__(self, *args):
+        type(self).started += 1
+        super().__init__(*args)
+
+
+def _draw_ahead_objective(method, model, observed, monkeypatch):
+    """An objective of 60-path slots, 20 to a block, drawing ahead with counted helpers."""
+    monkeypatch.setattr(smc_mod, "_DrawAhead", _CountedDrawAhead)
+    monkeypatch.setattr(_CountedDrawAhead, "started", 0)
+    objective = OBJECTIVES[method](model, observed, sim_replicates=3)
+    objective.draw_ahead = True
+    return objective
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_drawing_ahead_keeps_every_distance_bit(method, monkeypatch):
+    # 45 slots of 60 paths go in blocks of 20, 20 and 5: the helper draws
+    # blocks 1 and 2 while the caller steps blocks 0 and 1. Each slot still
+    # reads its own stream, so the distances are those drawn inline.
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    thetas = np.random.default_rng(45).uniform(PRIOR.lows, PRIOR.highs, (45, 6))
+    streams = lambda: [rng_mod.substream(4, rng_mod.STREAM_SIMULATION, 1, s) for s in range(45)]
+    inline = OBJECTIVES[method](model, observed, sim_replicates=3)
+    ahead = _draw_ahead_objective(method, model, observed, monkeypatch)
+    threads = threading.active_count()
+    expected = inline(thetas, streams())
+    for _ in range(2):  # the second call reuses the first call's buffers
+        chunk = ahead(thetas, streams())
+        assert chunk.shape == expected.shape == (45, 3 if method == "naive" else 1)
+        np.testing.assert_array_equal(chunk.view(np.int64), expected.view(np.int64))
+        assert threading.active_count() == threads
+    assert _CountedDrawAhead.started == 2
+    # A one-block chunk starts no helper.
+    np.testing.assert_array_equal(ahead(thetas[:20], streams()[:20]), expected[:20])
+    assert _CountedDrawAhead.started == 2
+    # The second normals buffer exists only when drawing ahead, and it
+    # stays behind in pickles.
+    assert inline._ahead is None and not inline.draw_ahead
+    assert ahead._ahead.shape == ahead._workspace[0].shape
+    copy = pickle.loads(pickle.dumps(ahead))
+    assert copy._ahead is None and copy._workspace is None and copy.draw_ahead
+
+
+@pytest.mark.parametrize("method", ["auxiliary", "naive"])
+def test_a_simulation_error_while_drawing_ahead_stops_the_helper(method, monkeypatch):
+    # Slot 23 sits in block 1 of 20, 20 and 5 slots and overflows as in
+    # test_objective_raises_a_later_slots_simulation_error_as_that_slot_alone,
+    # while the helper draws block 2. The error is the slot's own, the helper
+    # is joined, and the objective scores its next chunk as before.
+    model = ErythroblastModel(init_rho=0.0)
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (0.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = _draw_ahead_objective(method, model, observed, monkeypatch)
+    thetas = np.tile(theta, (45, 1))
+    thetas[23] = [2.3e38, 0.0, 2.6, 0.005, 1.0, 0.0]
+    rngs = lambda: [rng_mod.substream(2, slot) for slot in range(45)]
+    with pytest.raises(SimulationError) as alone:
+        model.simulate_paths(thetas[23], 60, rng_mod.substream(2, 23))
+    threads = threading.active_count()
+    with pytest.raises(SimulationError) as err:
+        objective(thetas, rngs())
+    assert (err.value.path_index, err.value.step) == (alone.value.path_index, alone.value.step)
+    assert threading.active_count() == threads and _CountedDrawAhead.started == 1
+    good = np.tile(theta, (45, 1))
+    expected = OBJECTIVES[method](model, observed, sim_replicates=3)(good, rngs())
+    np.testing.assert_array_equal(objective(good, rngs()).view(np.int64), expected.view(np.int64))
+    assert threading.active_count() == threads and _CountedDrawAhead.started == 2
+
+
+class _BrokenStream:
+    def standard_normal(self, *args, **kwargs):
+        raise FloatingPointError("broken stream")
+
+
+@pytest.mark.parametrize("slot", [30, 44])
+def test_an_error_while_drawing_ahead_reaches_the_caller(slot, monkeypatch):
+    # The helper draws blocks 1 and 2; a stream that raises in either makes
+    # the call raise that error, and the helper is gone. The call runs in a
+    # thread of its own so that a deadlock fails the test instead of
+    # hanging it.
+    model = ErythroblastModel()
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = _draw_ahead_objective("auxiliary", model, observed, monkeypatch)
+    rngs = [rng_mod.substream(2, s) for s in range(45)]
+    rngs[slot] = _BrokenStream()
+    threads = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            objective(np.tile(theta, (45, 1)), rngs)
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive(), "the caller deadlocked"
+    assert [str(exc) for exc in raised] == ["broken stream"]
+    assert threading.active_count() == threads and _CountedDrawAhead.started == 1
+
+
+@pytest.mark.parametrize(("cpus", "workers", "helpers"), [(1, 1, False), (2, 2, False), (2, 1, True)])
+def test_runs_draw_ahead_only_with_two_cpus_per_worker(cpus, workers, helpers, monkeypatch):
+    # 48 particles, 24 refills and 60-path slots: every generation's chunk
+    # spans two or three blocks when one process evaluates it. A run draws
+    # ahead only when the CPUs it may use number at least twice its
+    # workers; its pool workers unpickle the objective's flag.
+    theta = np.array([0.057, 3.4, 2.6, 0.005, 0.1, 0.1])
+    observed = generate_dataset(theta, (3.0, 0.0), 20, 1, 10, 3.0, rng=5)
+    objective = _draw_ahead_objective("auxiliary", ErythroblastModel(), observed, monkeypatch)
+    monkeypatch.setattr(smc_mod, "usable_cpus", lambda: cpus)
+    settings = SmcSettings(n_particles=48, alpha=0.5, p_acc_min=0.05, max_generations=3)
+    run = run_abc_smc(PRIOR, objective, settings, seed=8, workers=workers)
+    assert objective.draw_ahead is helpers
+    assert (_CountedDrawAhead.started > 0) is helpers
+    inline = OBJECTIVES["auxiliary"](ErythroblastModel(), observed, sim_replicates=3)
+    monkeypatch.setattr(smc_mod, "usable_cpus", lambda: 1)
+    reference = run_abc_smc(PRIOR, inline, settings, seed=8)
+    for name in ("thetas", "weights", "distances", "tolerances"):
+        np.testing.assert_array_equal(_bits(getattr(run, name)), _bits(getattr(reference, name)))
 
 
 @pytest.mark.parametrize("method", ["auxiliary", "naive"])
